@@ -18,7 +18,7 @@ from opdsim.engine import (
 )
 from opdsim.errors import ValidationError
 from opdsim.patients import N_PATIENTS, UrgencyLevel
-from opdsim.triage import FixedLowBackend
+from opdsim.triage import DriftParams, FixedLowBackend
 
 STRATEGIES = ("fcfs", "rule_based", "agentic")
 
@@ -36,6 +36,13 @@ GOLDEN_AGENTIC_METRICS = "351485062a3e707a047947debf301a75d2fa3e4b143ce6aec54e51
 GOLDEN_AGENTIC_ROWS = 1774
 GOLDEN_AGENTIC_SERVED = 216
 GOLDEN_AGENTIC_ESCALATIONS = 238
+GOLDEN_RULE_BASED_TRACE = "e5c58f6f3d0f1c14998d4bf29a48078e860b2004c2047aae3e87010b4c595083"
+GOLDEN_RULE_BASED_METRICS = "9bfdec911aca7c59ccfd18f210430ee6fbabc9d55d847ab85374769a0d5a62e3"
+GOLDEN_RULE_BASED_ROWS = 1322
+GOLDEN_RULE_BASED_SERVED = 223
+# A history check that can miss: each miss draws a second uniform for drift.
+GOLDEN_MEMORY_MISS_METRICS = "2ce76a7379206b563e780e21afd447af3b6da8a7e4937ebbed31963eed347cd7"
+GOLDEN_MEMORY_MISS_ESCALATIONS = 230
 
 TRACE_FIELDS = ["time", "event", "patient_id", "physician_id", "detail"]
 TRACE_EVENTS = {"arrival", "reg_done", "enqueue", "escalation", "consult_start", "consult_end"}
@@ -171,6 +178,25 @@ def test_golden_agentic_session(dataset42):
     assert res.metrics.escalation_count == GOLDEN_AGENTIC_ESCALATIONS
     assert _trace_hash(res.trace) == GOLDEN_AGENTIC_TRACE
     assert _metrics_hash(res.metrics) == GOLDEN_AGENTIC_METRICS
+
+
+def test_golden_rule_based_session(dataset42):
+    patients, history = dataset42
+    res = run_session(patients, history, StrategyConfig(strategy="rule_based"),
+                      seed=GOLDEN_SEED, collect_trace=True)
+    assert len(res.trace) == GOLDEN_RULE_BASED_ROWS
+    assert res.metrics.served_count == GOLDEN_RULE_BASED_SERVED
+    assert res.metrics.escalation_count == 0
+    assert _trace_hash(res.trace) == GOLDEN_RULE_BASED_TRACE
+    assert _metrics_hash(res.metrics) == GOLDEN_RULE_BASED_METRICS
+
+
+def test_golden_agentic_memory_miss_session(dataset42):
+    patients, history = dataset42
+    cfg = StrategyConfig(strategy="agentic", drift=DriftParams(p_history_escalation=0.5))
+    res = run_session(patients, history, cfg, seed=GOLDEN_SEED)
+    assert res.metrics.escalation_count == GOLDEN_MEMORY_MISS_ESCALATIONS
+    assert _metrics_hash(res.metrics) == GOLDEN_MEMORY_MISS_METRICS
 
 
 # ------------------------------------------------------------ configuration
