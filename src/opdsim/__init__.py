@@ -6,71 +6,15 @@ rule-based triage, and an adaptive strategy with condition-drift monitoring
 and history-driven escalation — over many seeded runs.
 """
 
-from .arrivals import IntensityProfile, default_profile, sample_arrivals, sample_poisson_process
-from .assignment import Physician, PhysicianStatus, default_roster, score_assignment, assign
-from .engine import (
-    SessionMetrics,
-    SessionResult,
-    Strategy,
-    StrategyConfig,
-    run_ablations,
-    run_experiment,
-    run_session,
-)
-from .errors import ValidationError
-from .patients import (
-    HistoryRecord,
-    Patient,
-    Specialty,
-    UrgencyLevel,
-    dataset_fingerprint,
-    export_dataset,
-    generate_dataset,
-    import_dataset,
-)
-from .stats import welch_t, wilson_ci, cohen_d, p95
-from .triage import CalibratedTriageBackend, DriftParams, FixedLowBackend, TriageBackend
-from .waitqueue import AdaptiveQueue, PriorityWeights, QueueEntry, priority_score
+from .engine import StrategyConfig, run_experiment, run_session
+from .patients import generate_dataset
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveQueue",
-    "CalibratedTriageBackend",
-    "DriftParams",
-    "FixedLowBackend",
-    "HistoryRecord",
-    "IntensityProfile",
-    "Patient",
-    "Physician",
-    "PhysicianStatus",
-    "PriorityWeights",
-    "QueueEntry",
-    "SessionMetrics",
-    "SessionResult",
-    "Specialty",
-    "Strategy",
     "StrategyConfig",
-    "TriageBackend",
-    "UrgencyLevel",
-    "ValidationError",
-    "assign",
-    "cohen_d",
-    "dataset_fingerprint",
-    "default_profile",
-    "default_roster",
-    "export_dataset",
     "generate_dataset",
-    "import_dataset",
-    "p95",
-    "priority_score",
-    "run_ablations",
     "run_experiment",
     "run_session",
-    "sample_arrivals",
-    "sample_poisson_process",
-    "score_assignment",
-    "welch_t",
-    "wilson_ci",
     "__version__",
 ]

@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ValidationError
 from .patients import N_PATIENTS
 
-SESSION_MINUTES = 360.0
-
 # Intensity shape anchors (minute, multiplier): ramp up into a mid-morning
 # peak, taper toward closing.  The profile is scaled so its integral equals
 # the cohort size exactly.
@@ -69,39 +67,14 @@ class IntensityProfile:
         rates = np.array([r for _, r in self.breakpoints])
         return float(np.trapezoid(rates, times))
 
-    @property
-    def mean_rate(self) -> float:
-        return self.integral() / (self.end_time - self.start_time)
-
     def scaled_to_total(self, total: float) -> "IntensityProfile":
         factor = total / self.integral()
         return IntensityProfile(tuple((t, r * factor) for t, r in self.breakpoints))
-
-    def to_dict(self) -> dict:
-        return {"breakpoints": [[t, r] for t, r in self.breakpoints]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "IntensityProfile":
-        try:
-            pts = tuple((float(t), float(r)) for t, r in d["breakpoints"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad intensity profile: {exc}") from exc
-        return IntensityProfile(pts)
 
 
 def default_profile(total: int = N_PATIENTS) -> IntensityProfile:
     shape = IntensityProfile(DEFAULT_SHAPE)
     return shape.scaled_to_total(total)
-
-
-@dataclass
-class ThinningStats:
-    proposals: int
-    accepted: int
-
-    @property
-    def acceptance_ratio(self) -> float:
-        return self.accepted / self.proposals if self.proposals else 0.0
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -110,11 +83,7 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-def sample_poisson_process(
-    profile: IntensityProfile,
-    seed_or_rng,
-    collect_stats: bool = False,
-):
+def sample_poisson_process(profile: IntensityProfile, seed_or_rng) -> np.ndarray:
     """One thinned trajectory over the profile span (sorted times, minutes).
 
     Homogeneous candidates at the peak rate are generated by exponential gaps
@@ -138,19 +107,10 @@ def sample_poisson_process(
 
     u = rng.random(candidates.size)
     keep = u < profile.rate(candidates) / lam_max
-    times = candidates[keep]
-
-    if collect_stats:
-        return times, ThinningStats(proposals=int(candidates.size), accepted=int(times.size))
-    return times
+    return candidates[keep]
 
 
-def sample_arrivals(
-    profile: IntensityProfile,
-    n_patients: int,
-    seed_or_rng,
-    max_attempts: int = MAX_RESAMPLE_ATTEMPTS,
-) -> np.ndarray:
+def sample_arrivals(profile: IntensityProfile, n_patients: int, seed_or_rng) -> np.ndarray:
     """Exactly `n_patients` arrival times: resample whole trajectories until
     the realised count matches.
 
@@ -162,10 +122,10 @@ def sample_arrivals(
     if abs(profile.integral() - n_patients) > 0.5 * n_patients:
         raise ValidationError("profile integral is far from the requested count; resampling would stall")
     rng = _as_rng(seed_or_rng)
-    for _ in range(max_attempts):
+    for _ in range(MAX_RESAMPLE_ATTEMPTS):
         times = sample_poisson_process(profile, rng)
         if times.size == n_patients:
             return times
     raise ValidationError(
-        f"could not realise exactly {n_patients} arrivals in {max_attempts} attempts"
+        f"could not realise exactly {n_patients} arrivals in {MAX_RESAMPLE_ATTEMPTS} attempts"
     )

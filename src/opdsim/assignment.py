@@ -39,9 +39,6 @@ class Physician:
     queue_length: int = 0
     served_count: int = 0
 
-    def to_dict(self) -> dict:
-        return {"physician_id": self.physician_id, "specialty": self.specialty.value}
-
 
 def default_roster() -> list[Physician]:
     """Six consulting rooms: two general medicine, one per other specialty."""

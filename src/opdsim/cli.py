@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from .assignment import Physician, default_roster
-from .engine import ABLATION_VARIANTS, Strategy, StrategyConfig, run_session
+from .engine import ABLATION_VARIANTS, SessionMetrics, Strategy, StrategyConfig, run_session
 from .errors import ValidationError
 from .patients import (
     Specialty,
@@ -190,19 +190,18 @@ def build_manifest(
 
 # ---------------------------------------------------------------------------
 # experiment plumbing
+#
+# perfbench/run.py times each experiment session by wrapping `_worker_run`
+# and `_run_many`, looked up by name on this module.  Renaming either one, or
+# changing their one-payload-in, one-dict-out shape, silently drops
+# session_ms_p50/p90 from the experiment_serial and experiment_parallel
+# workloads.
 
 
 def _worker_run(payload) -> dict:
     """Top-level so it pickles for multiprocessing workers."""
-    dataset_dict, config_dict, roster_rows, seed = payload
-    patients, history = dataset_from_dict(dataset_dict)
-    roster = [
-        Physician(physician_id=r["id"], specialty=Specialty(r["specialty"]))
-        for r in roster_rows
-    ]
-    result = run_session(
-        patients, history, StrategyConfig.from_dict(config_dict), seed, roster=roster
-    )
+    patients, history, config, roster, seed = payload
+    result = run_session(patients, history, config, seed, roster=roster)
     crit = [
         v.wait_from_level_entry
         for v in result.served
@@ -219,8 +218,7 @@ def _worker_run(payload) -> dict:
 
 def _run_many(patients, history, config, roster, base_seed, n_runs, workers) -> list[dict]:
     payloads = [
-        (dataset_to_dict(patients, history), config.to_dict(), _roster_rows(roster), s)
-        for s in range(base_seed, base_seed + n_runs)
+        (patients, history, config, roster, s) for s in range(base_seed, base_seed + n_runs)
     ]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
@@ -270,9 +268,7 @@ def _write_experiment_dir(out_dir: Path, manifest: dict, run_payloads: list[dict
         },
     )
     _atomic_write_text(out_dir / "escalations.csv", _escalations_csv(esc_rows))
-    from .engine import SessionMetrics
-
-    summaries = summarize_runs([SessionMetrics.from_dict(p["metrics"]) for p in run_payloads])
+    summaries = summarize_runs([SessionMetrics(**p["metrics"]) for p in run_payloads])
     _atomic_write_text(out_dir / "summary.csv", _summary_csv(summaries, compat))
     _atomic_write_json(out_dir / "manifest.json", manifest)
     return summaries

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrivals import IntensityProfile, default_profile, sample_arrivals
+from .arrivals import default_profile, sample_arrivals
 from .assignment import Physician, PhysicianStatus, assign, default_roster
 from .errors import ValidationError
 from .patients import HistoryRecord, N_PATIENTS, Patient, UrgencyLevel
@@ -120,17 +120,7 @@ class StrategyConfig:
             raise ValidationError("session must have positive length")
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy.value,
-            "memory_enabled": self.memory_enabled,
-            "drift_enabled": self.drift_enabled,
-            "registration_desks": self.registration_desks,
-            "registration_mean": self.registration_mean,
-            "registration_std": self.registration_std,
-            "session_minutes": self.session_minutes,
-            "drift": self.drift.to_dict(),
-            "weights": self.weights.to_dict(),
-        }
+        return dataclasses.asdict(self) | {"strategy": self.strategy.value}
 
     @staticmethod
     def from_dict(d: dict) -> "StrategyConfig":
@@ -201,13 +191,6 @@ class SessionMetrics:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "SessionMetrics":
-        try:
-            return SessionMetrics(**d)
-        except TypeError as exc:
-            raise ValidationError(f"bad metrics record: {exc}") from exc
-
 
 @dataclass
 class SessionResult:
@@ -232,14 +215,13 @@ def _positive_normal(rng: np.random.Generator, mean: float, std: float, floor: f
 
 
 class _Session:
-    def __init__(self, patients, history, config, seed, roster, profile, backend, collect_trace):
+    def __init__(self, patients, history, config, seed, roster, backend, collect_trace):
         self.patients = patients
         self.history = history
         self.config = config
         self.seed = seed
         self.roster = roster
         self.by_id = {p.physician_id: p for p in roster}
-        self.profile = profile
         self.backend = backend
         self.collect_trace = collect_trace
 
@@ -248,6 +230,7 @@ class _Session:
 
         self.queue = AdaptiveQueue(config.weights)
         self.reg_queue: deque[Patient] = deque()
+        self.late_registrations = 0
         self.free_desks = config.registration_desks
         self.rr_cursor = 0
 
@@ -301,7 +284,8 @@ class _Session:
         if self.reg_queue and t < self.config.session_minutes:
             self._start_registration(t, self.reg_queue.popleft())
         if t >= self.config.session_minutes:
-            return  # registered too late to join the consult queue
+            self.late_registrations += 1  # too late to join the consult queue
+            return
         self.record(t, "reg_done", patient.patient_id)
         face = self.backend.triage_face_value(patient)
         entry = QueueEntry(
@@ -398,7 +382,7 @@ class _Session:
     def run(self):
         rng_arr = _stream(self.seed, _STREAM_ARRIVALS)
         rng_pair = _stream(self.seed, _STREAM_PAIRING)
-        times = sample_arrivals(self.profile, len(self.patients), rng_arr)
+        times = sample_arrivals(default_profile(len(self.patients)), len(self.patients), rng_arr)
         order = rng_pair.permutation(len(self.patients))
         for i in range(len(self.patients)):
             self.push(float(times[i]), _EVT_ARRIVAL, "arrival", self.patients[int(order[i])])
@@ -438,9 +422,11 @@ class _Session:
         n = len(self.patients)
         served_ids = {v.patient_id for v in served}
         waiting = self.queue.entries()
-        accounted = len(served) + len(waiting) + len(self.reg_queue)
-        if accounted > n or len(served_ids) != len(served):
-            raise ValidationError("patient accounting is inconsistent")
+        # Every patient ends served, pooled, unregistered, or registered
+        # after closing.
+        accounted = len(served) + len(waiting) + len(self.reg_queue) + self.late_registrations
+        if accounted != n or len(served_ids) != len(served):
+            raise ValidationError(f"patient accounting is inconsistent: {accounted} of {n}")
 
         composition = {lvl.value: 0 for lvl in UrgencyLevel}
         for v in served:
@@ -518,7 +504,6 @@ def run_session(
     config: StrategyConfig,
     seed: int,
     roster: list[Physician] | None = None,
-    profile: IntensityProfile | None = None,
     backend_factory=None,
     collect_trace: bool = False,
 ) -> SessionResult:
@@ -532,12 +517,9 @@ def run_session(
     ]
     if not roster:
         raise ValidationError("empty roster")
-    profile = profile or default_profile(len(patients))
     factory = backend_factory or CalibratedTriageBackend
     backend = factory(_stream(seed, _STREAM_BACKEND), config.drift)
-    return _Session(
-        patients, history, config, seed, roster, profile, backend, collect_trace
-    ).run()
+    return _Session(patients, history, config, seed, roster, backend, collect_trace).run()
 
 
 def run_experiment(
@@ -560,22 +542,3 @@ ABLATION_VARIANTS = {
     "no_drift": dict(memory_enabled=True, drift_enabled=False),
     "neither": dict(memory_enabled=False, drift_enabled=False),
 }
-
-
-def run_ablations(
-    patients,
-    history,
-    n_runs: int,
-    base_seed: int,
-    drift: DriftParams | None = None,
-    **kwargs,
-) -> dict[str, list[SessionResult]]:
-    """The agentic strategy with memory/drift toggled through all four
-    combinations, same seeds in every arm."""
-    out = {}
-    for name, flags in ABLATION_VARIANTS.items():
-        config = StrategyConfig(
-            strategy=Strategy.AGENTIC, drift=drift or DriftParams(), **flags
-        )
-        out[name] = run_experiment(patients, history, config, n_runs, base_seed, **kwargs)
-    return out

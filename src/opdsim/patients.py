@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from hashlib import sha256
-from pathlib import Path
 
 import numpy as np
 
@@ -851,25 +850,6 @@ def _validate_dataset(patients: list[Patient], history: dict[str, HistoryRecord]
     flagged = {p.patient_id for p in patients if p.has_history}
     if flagged != set(history):
         raise ValidationError("has_history flags disagree with history store keys")
-
-
-def export_dataset(path: str | Path, patients: list[Patient], history: dict[str, HistoryRecord]) -> None:
-    payload = json.dumps(dataset_to_dict(patients, history), indent=2, sort_keys=True)
-    tmp = Path(path).with_suffix(".tmp")
-    tmp.write_text(payload + "\n")
-    tmp.replace(path)
-
-
-def import_dataset(path: str | Path) -> tuple[list[Patient], dict[str, HistoryRecord]]:
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise exc
-    try:
-        d = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"dataset file is not valid JSON: {exc}") from exc
-    return dataset_from_dict(d)
 
 
 def dataset_fingerprint(patients: list[Patient], history: dict[str, HistoryRecord]) -> str:

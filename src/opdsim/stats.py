@@ -114,19 +114,6 @@ class WelchResult:
     n_b: int
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "t_stat": self.t_stat,
-            "df": self.df,
-            "p_value": self.p_value,
-            "cohen_d": self.cohen_d,
-            "n_a": self.n_a,
-            "n_b": self.n_b,
-            "degenerate": self.degenerate,
-        }
-
 
 def cohen_d(a, b) -> float:
     """Pooled-standard-deviation effect size."""
@@ -187,9 +174,6 @@ class WilsonInterval:
     low: float
     high: float
 
-    def to_dict(self) -> dict:
-        return {"p_hat": self.p_hat, "low": self.low, "high": self.high}
-
 
 def wilson_ci(successes: int, n: int, z: float = Z_95) -> WilsonInterval:
     """Wilson score interval for a binomial proportion."""
@@ -203,14 +187,6 @@ def wilson_ci(successes: int, n: int, z: float = Z_95) -> WilsonInterval:
     centre = (p + z2 / (2 * n)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n))
     return WilsonInterval(p_hat=p, low=max(0.0, centre - half), high=min(1.0, centre + half))
-
-
-def p95(values) -> float:
-    """95th percentile, linear interpolation."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValidationError("p95 of empty sample")
-    return float(np.percentile(arr, 95))
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +216,6 @@ class MetricSummary:
     mean: float
     std: float
     n: int
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "n": self.n}
 
 
 def summarize_runs(metrics_list) -> dict[str, MetricSummary]:

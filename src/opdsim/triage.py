@@ -3,15 +3,14 @@
 A backend grades patients at registration (face-value triage), escalates
 waiting patients whose stored medical history flags hidden risk, and models
 condition drift — the chance that an untreated patient deteriorates while
-queueing.  The simulation uses a calibrated stochastic backend; the adapter
-class at the bottom is the seam where a live model-served triage service
-would plug in.
+queueing.  The simulation uses a calibrated stochastic backend.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,21 +39,6 @@ HISTORY_DRIFT_MULTIPLIER = 1.2
 P_HISTORY_ESCALATION = 1.0
 
 REASSESS_INTERVAL = 5.0
-
-RED_FLAG_TERMS = (
-    "chest pain",
-    "bleeding",
-    "unconscious",
-    "unresponsive",
-    "seizure",
-    "stroke",
-    "breathless",
-    "breathing",
-    "severe",
-    "high fever",
-    "trauma",
-    "accident",
-)
 
 
 @dataclass(frozen=True)
@@ -89,14 +73,7 @@ class DriftParams:
         return min(base, 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "check_interval": self.check_interval,
-            "p_high": self.p_high,
-            "p_medium": self.p_medium,
-            "p_low": self.p_low,
-            "history_multiplier": self.history_multiplier,
-            "p_history_escalation": self.p_history_escalation,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "DriftParams":
@@ -113,12 +90,6 @@ class TriageResult:
     specialty: Specialty
     confidence: float
     reasoning: str
-    red_flags: list[str] = field(default_factory=list)
-
-
-def extract_red_flags(complaint: str) -> list[str]:
-    low = complaint.lower()
-    return [term for term in RED_FLAG_TERMS if term in low]
 
 
 class TriageBackend(ABC):
@@ -154,9 +125,6 @@ class TriageBackend(ABC):
         the history risk multiplier off.
         """
 
-    def generate_medication_alerts(self, record: HistoryRecord) -> list[str]:
-        return [f"Allergy on record: {a}" for a in record.allergies]
-
 
 class CalibratedTriageBackend(TriageBackend):
     """Stochastic assessor used by the simulation."""
@@ -167,6 +135,9 @@ class CalibratedTriageBackend(TriageBackend):
         self._memory_fired: set[str] = set()
 
     def triage_face_value(self, patient: Patient) -> TriageResult:
+        # No caller reads the confidence, but its draw is kept on purpose:
+        # dropping it would shift every later draw on this stream and change
+        # every session's output.
         confidence = 0.80 + 0.18 * float(self.rng.random())
         return TriageResult(
             urgency=patient.face_urgency,
@@ -174,7 +145,6 @@ class CalibratedTriageBackend(TriageBackend):
             specialty=patient.required_specialty,
             confidence=confidence,
             reasoning=f"presenting complaint graded {patient.face_urgency.value}",
-            red_flags=extract_red_flags(patient.complaint),
         )
 
     def assess_history_escalation(self, patient, record):
@@ -194,7 +164,6 @@ class CalibratedTriageBackend(TriageBackend):
             specialty=patient.required_specialty,
             confidence=0.95,
             reasoning=record.escalation_rule.reason,
-            red_flags=[c for c in record.conditions],
         )
 
     def assess_drift(self, current, has_history):
@@ -223,7 +192,6 @@ class FixedLowBackend(TriageBackend):
             specialty=patient.required_specialty,
             confidence=1.0,
             reasoning="fixed grading",
-            red_flags=[],
         )
 
     def assess_history_escalation(self, patient, record):
@@ -237,27 +205,3 @@ class FixedLowBackend(TriageBackend):
         if current is UrgencyLevel.CRITICAL:
             raise ValidationError("critical patients do not drift further")
         return None
-
-
-class LlmTriageAdapter(TriageBackend):
-    """Seam for a live model-served triage endpoint.
-
-    Not used in simulation runs: request latency and a shared request budget
-    (40 requests/min across the clinic) make the live path a deployment
-    concern, not a modelling one.  Methods raise until wired to a client.
-    """
-
-    RATE_LIMIT_PER_MIN = 40
-
-    def __init__(self, endpoint: str, budget_per_min: int = RATE_LIMIT_PER_MIN):
-        self.endpoint = endpoint
-        self.budget_per_min = budget_per_min
-
-    def triage_face_value(self, patient):
-        raise NotImplementedError("live triage endpoint not wired in this build")
-
-    def assess_history_escalation(self, patient, record):
-        raise NotImplementedError("live triage endpoint not wired in this build")
-
-    def assess_drift(self, current, has_history):
-        raise NotImplementedError("live triage endpoint not wired in this build")

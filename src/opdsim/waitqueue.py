@@ -12,6 +12,7 @@ recomputed composite priority.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -47,14 +48,7 @@ class PriorityWeights:
             raise ValidationError("wait_horizon must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "urgency": self.urgency,
-            "acuity": self.acuity,
-            "waiting": self.waiting,
-            "load": self.load,
-            "wait_horizon": self.wait_horizon,
-            "wait_cap": self.wait_cap,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PriorityWeights":
@@ -106,9 +100,6 @@ class QueueEntry:
     def patient_id(self) -> str:
         return self.patient.patient_id
 
-    def waited(self, now: float) -> float:
-        return now - self.enqueue_time
-
 
 def priority_score(
     entry: QueueEntry,
@@ -120,7 +111,8 @@ def priority_score(
 
     urgency maps to {0.25, 0.5, 0.75, 1.0}; acuity is scaled to [0, 1]; the
     waiting term saturates at `wait_cap` once the patient has waited a full
-    horizon; the load term favours patients parked at busy desks.
+    horizon; the load term is `1 - load`, so it favours patients parked at
+    the least-loaded desks.
     """
     if now < entry.enqueue_time:
         raise ValidationError(
@@ -144,25 +136,13 @@ class AdaptiveQueue:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, patient_id: str) -> bool:
-        return patient_id in self._entries
-
     def entries(self) -> list[QueueEntry]:
         return list(self._entries.values())
-
-    def get(self, patient_id: str) -> QueueEntry:
-        return self._entries[patient_id]
 
     def enqueue(self, entry: QueueEntry) -> None:
         if entry.patient_id in self._entries:
             raise ValidationError(f"{entry.patient_id} is already queued")
         self._entries[entry.patient_id] = entry
-
-    def remove(self, patient_id: str) -> QueueEntry:
-        return self._entries.pop(patient_id)
-
-    def queue_length_for(self, physician_id: str) -> int:
-        return sum(1 for e in self._entries.values() if e.assigned_physician == physician_id)
 
     def dequeue_next(
         self, strategy: str, physician_id: str | None = None
@@ -228,8 +208,7 @@ class AdaptiveQueue:
     ) -> list[EscalationEvent]:
         """One sweep over the pool in enqueue order.
 
-        With deterioration checking disabled the sweep is a no-op (the engine
-        never schedules ticks in that mode, so this is belt-and-braces).
+        With deterioration checking disabled the sweep is a no-op.
         For each entry: if memory is on, the record is visible, and its target
         still exceeds the current level, run the (at-most-once) history check;
         when it fires, skip drift for that entry this sweep.  Otherwise run
@@ -253,11 +232,7 @@ class AdaptiveQueue:
                             )
                         )
                         escalated_by_memory = True
-            if (
-                drift_enabled
-                and not escalated_by_memory
-                and entry.current_urgency is not UrgencyLevel.CRITICAL
-            ):
+            if not escalated_by_memory and entry.current_urgency is not UrgencyLevel.CRITICAL:
                 knows_history = memory_enabled and entry.memory_available
                 new_level = backend.assess_drift(entry.current_urgency, knows_history)
                 if new_level is not None:

@@ -1,7 +1,5 @@
 """Assignment scoring and the three dispatch policies."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,12 +162,3 @@ def test_dispatcher_and_errors():
         assign(_patient(Specialty.OBGYN), [], "fcfs")
     with pytest.raises(ValidationError):
         assign(_patient(Specialty.OBGYN), roster, "priority")
-
-
-def test_physician_serialization():
-    p = default_roster()[0]
-    d = p.to_dict()
-    assert d["physician_id"] == p.physician_id
-    assert d["specialty"] == p.specialty.value
-    clone = dataclasses.replace(p, queue_length=9)
-    assert clone.queue_length == 9 and p.queue_length == 0

@@ -7,12 +7,11 @@ import json
 
 import pytest
 
+from opdsim import engine
 from opdsim.engine import (
     ABLATION_VARIANTS,
     SessionMetrics,
-    Strategy,
     StrategyConfig,
-    run_ablations,
     run_experiment,
     run_session,
 )
@@ -103,6 +102,22 @@ def test_escalations_monotone_within_patient(dataset42):
             assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
         memory_events = [ev for ev in res.escalations if ev.cause == "memory"]
         assert len(memory_events) == len({ev.patient_id for ev in memory_events})
+
+
+def test_lost_patient_fails_accounting(dataset42, monkeypatch):
+    # A patient who arrives but is never registered, queued or served must
+    # not slip through: the engine checks exact conservation itself.
+    patients, history = dataset42
+    lost = patients[0].patient_id
+    on_arrival = engine._Session.on_arrival
+
+    def drop_one(self, t, patient):
+        if patient.patient_id != lost:
+            on_arrival(self, t, patient)
+
+    monkeypatch.setattr(engine._Session, "on_arrival", drop_one)
+    with pytest.raises(ValidationError, match="accounting"):
+        run_session(patients, history, StrategyConfig(strategy="fcfs"), seed=1)
 
 
 def test_unserved_appear_at_face_level(dataset42):
@@ -251,8 +266,12 @@ def test_drift_only_never_uses_memory(dataset42):
 
 def test_run_ablations_covers_all_variants(dataset42):
     patients, history = dataset42
-    out = run_ablations(patients, history, n_runs=2, base_seed=100)
-    assert set(out) == set(ABLATION_VARIANTS)
+    out = {
+        name: run_experiment(patients, history, StrategyConfig(strategy="agentic", **flags),
+                             n_runs=2, base_seed=100)
+        for name, flags in ABLATION_VARIANTS.items()
+    }
+    assert set(out) == {"full", "no_memory", "no_drift", "neither"}
     for runs in out.values():
         assert len(runs) == 2
     for r in out["neither"]:
@@ -316,9 +335,8 @@ def test_run_experiment_seed_ladder(dataset42):
 
 
 def test_metrics_round_trip(dataset42):
+    # The CLI summarizes runs from their JSON-ready metrics dicts.
     patients, history = dataset42
     res = run_session(patients, history, StrategyConfig(strategy="fcfs"), seed=1)
-    clone = SessionMetrics.from_dict(json.loads(json.dumps(res.metrics.to_dict())))
+    clone = SessionMetrics(**json.loads(json.dumps(res.metrics.to_dict())))
     assert clone == res.metrics
-    with pytest.raises(ValidationError):
-        SessionMetrics.from_dict({"strategy": "fcfs"})

@@ -13,7 +13,6 @@ from opdsim.stats import (
     METRIC_FIELDS,
     betainc_regularized,
     cohen_d,
-    p95,
     summarize_runs,
     summary_table,
     t_cdf,
@@ -164,16 +163,6 @@ def test_wilson_validates_inputs():
         wilson_ci(-1, 10)
     with pytest.raises(ValidationError):
         wilson_ci(11, 10)
-
-
-# ------------------------------------------------------------ percentiles
-
-
-def test_p95_linear_interpolation():
-    assert abs(p95(range(1, 101)) - 95.05) < 1e-12
-    assert p95([7.0]) == 7.0
-    with pytest.raises(ValidationError):
-        p95([])
 
 
 # ------------------------------------------------------------ summaries

@@ -1,4 +1,4 @@
-"""Severity backend: face triage, history escalation, drift draws, alerts."""
+"""Severity backend: face triage, history escalation, drift draws."""
 
 import math
 
@@ -11,11 +11,9 @@ from opdsim.triage import (
     CalibratedTriageBackend,
     DriftParams,
     FixedLowBackend,
-    LlmTriageAdapter,
     P_DRIFT_HIGH,
     P_DRIFT_LOW,
     P_DRIFT_MEDIUM,
-    extract_red_flags,
 )
 
 
@@ -51,12 +49,6 @@ def test_face_triage_archetype_is_low(dataset42):
     assert mild
     backend = _backend()
     assert backend.triage_face_value(mild[0]).urgency is UrgencyLevel.LOW
-
-
-def test_red_flag_extraction():
-    flags = extract_red_flags("Crushing chest pain radiating to left arm")
-    assert any("chest pain" in f for f in flags)
-    assert extract_red_flags("itchy rash") == []
 
 
 # -- history escalation ------------------------------------------------------
@@ -189,25 +181,7 @@ def test_drift_params_round_trip():
     assert DriftParams.from_dict(params.to_dict()) == params
 
 
-# -- alerts and alternative backends -----------------------------------------
-
-
-def test_medication_alerts_cardinality(dataset42):
-    _, history = dataset42
-    backend = _backend()
-    for record in history.values():
-        alerts = backend.generate_medication_alerts(record)
-        assert len(alerts) == len(record.allergies)
-        for allergy, alert in zip(record.allergies, alerts):
-            assert allergy in alert
-
-
-def test_phenytoin_alert(dataset42):
-    _, history = dataset42
-    record = next(r for r in history.values() if "Phenytoin" in r.allergies)
-    backend = _backend()
-    alerts = backend.generate_medication_alerts(record)
-    assert len(alerts) == 1 and "Phenytoin" in alerts[0]
+# -- alternative backends ---------------------------------------------------
 
 
 def test_fixed_low_backend_contract(dataset42):
@@ -216,12 +190,3 @@ def test_fixed_low_backend_contract(dataset42):
     result = stub.triage_face_value(patients[0])
     assert result.urgency is UrgencyLevel.LOW
     assert stub.assess_drift(UrgencyLevel.MEDIUM, True) is None
-
-
-def test_llm_adapter_is_a_declared_seam(dataset42):
-    patients, history = dataset42
-    adapter = LlmTriageAdapter(endpoint="https://example.invalid/triage")
-    with pytest.raises(NotImplementedError):
-        adapter.triage_face_value(patients[0])
-    with pytest.raises(NotImplementedError):
-        adapter.assess_drift(UrgencyLevel.LOW, False)

@@ -149,7 +149,7 @@ def test_dequeue_fcfs_takes_earliest():
         q.enqueue(_entry(pid, t=t))
     first = q.dequeue_next("fcfs")
     assert first.patient_id == "P0001"
-    assert len(q) == 2 and "P0001" not in q
+    assert [e.patient_id for e in q.entries()] == ["P0003", "P0002"]
 
 
 def test_dequeue_rule_based_prefers_presenting_class():
@@ -210,7 +210,7 @@ def test_dequeue_scoped_to_physician():
     q.enqueue(_entry("P0001", t=5.0, physician="GM-1"))
     q.enqueue(_entry("P0002", t=1.0, physician="GM-2"))
     assert q.dequeue_next("fcfs", physician_id="GM-1").patient_id == "P0001"
-    assert q.queue_length_for("GM-2") == 1
+    assert [e.patient_id for e in q.entries()] == ["P0002"]
 
 
 def test_dequeue_empty_queue_is_contract_violation():
