@@ -16,7 +16,8 @@ from opdsim.engine import (
     run_session,
 )
 from opdsim.errors import ValidationError
-from opdsim.patients import N_PATIENTS, UrgencyLevel
+from opdsim.assignment import Physician
+from opdsim.patients import N_PATIENTS, Specialty, UrgencyLevel
 from opdsim.triage import DriftParams, FixedLowBackend
 
 STRATEGIES = ("fcfs", "rule_based", "agentic")
@@ -42,6 +43,17 @@ GOLDEN_RULE_BASED_SERVED = 223
 # A history check that can miss: each miss draws a second uniform for drift.
 GOLDEN_MEMORY_MISS_METRICS = "2ce76a7379206b563e780e21afd447af3b6da8a7e4937ebbed31963eed347cd7"
 GOLDEN_MEMORY_MISS_ESCALATIONS = 230
+GOLDEN_ABLATION_METRICS = {
+    "no_memory": "003b2036e70a1290c2edd72e52836c8ccc9d96cc03bcbd4330b350f931d2af5d",
+    "no_drift": "8776e76c2a13ef6d93e7456811ac55dc033b4e6580d9de1317d12b3330101db6",
+}
+# Ten rooms, two per specialty: per-desk dispatch across twin rooms, and a
+# pool the agentic arm drains while rooms are still idle.
+GOLDEN_TWIN_ROOM_METRICS = {
+    "fcfs": "be0f26efa803b49c742b68c42d9834b91eecda370bd9c498c7d79750d7fb15e3",
+    "rule_based": "b8eb157d13489f75ed48f28aad0dca5f3beaa68ffda2296e85d85d8945b87ae6",
+    "agentic": "c8e6416e03b8e4e1c9d5f4ab5b7137b739479b7a4ebee7578dee888dc72943e9",
+}
 
 TRACE_FIELDS = ["time", "event", "patient_id", "physician_id", "detail"]
 TRACE_EVENTS = {"arrival", "reg_done", "enqueue", "escalation", "consult_start", "consult_end"}
@@ -212,6 +224,26 @@ def test_golden_agentic_memory_miss_session(dataset42):
     res = run_session(patients, history, cfg, seed=GOLDEN_SEED)
     assert res.metrics.escalation_count == GOLDEN_MEMORY_MISS_ESCALATIONS
     assert _metrics_hash(res.metrics) == GOLDEN_MEMORY_MISS_METRICS
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_ABLATION_METRICS))
+def test_golden_agentic_ablation_session(dataset42, variant):
+    patients, history = dataset42
+    cfg = StrategyConfig(strategy="agentic", **ABLATION_VARIANTS[variant])
+    res = run_session(patients, history, cfg, seed=GOLDEN_SEED)
+    assert _metrics_hash(res.metrics) == GOLDEN_ABLATION_METRICS[variant]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_golden_twin_room_session(dataset42, strategy):
+    patients, history = dataset42
+    roster = [
+        Physician(f"R{i + 1:02d}", spec)
+        for i, spec in enumerate(s for s in Specialty for _ in range(2))
+    ]
+    res = run_session(patients, history, StrategyConfig(strategy=strategy),
+                      seed=GOLDEN_SEED, roster=roster)
+    assert _metrics_hash(res.metrics) == GOLDEN_TWIN_ROOM_METRICS[strategy]
 
 
 # ------------------------------------------------------------ configuration
