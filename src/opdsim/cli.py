@@ -103,18 +103,18 @@ def _load_config(args) -> StrategyConfig:
         base.update(loaded)
     if getattr(args, "strategy", None):
         base["strategy"] = args.strategy
+    if getattr(args, "no_memory", False):
+        base["memory_enabled"] = False
+    if getattr(args, "no_drift", False):
+        base["drift_enabled"] = False
     config = StrategyConfig.from_dict(base)
-    if getattr(args, "no_memory", False) or getattr(args, "no_drift", False):
-        if config.strategy is not Strategy.AGENTIC:
-            print(
-                f"warning: --no-memory/--no-drift are redundant for "
-                f"{config.strategy.value} (it has no reassessment loop)",
-                file=sys.stderr,
-            )
-        if getattr(args, "no_memory", False):
-            config.memory_enabled = False
-        if getattr(args, "no_drift", False):
-            config.drift_enabled = False
+    redundant = getattr(args, "no_memory", False) or getattr(args, "no_drift", False)
+    if redundant and config.strategy is not Strategy.AGENTIC:
+        print(
+            f"warning: --no-memory/--no-drift are redundant for "
+            f"{config.strategy.value} (it has no reassessment loop)",
+            file=sys.stderr,
+        )
     return config
 
 
@@ -314,9 +314,10 @@ def cmd_run(args) -> int:
         _atomic_write_text(trace_path, buf.getvalue())
         print(f"wrote {trace_path}", file=sys.stderr)
     m = result.metrics
+    avg_wait = "n/a" if m.avg_wait is None else f"{m.avg_wait:.1f} min"
     print(
         f"{m.strategy} seed={m.seed}: served {m.served_count}, "
-        f"avg wait {m.avg_wait:.1f} min, escalations {m.escalation_count}",
+        f"avg wait {avg_wait}, escalations {m.escalation_count}",
         file=sys.stderr,
     )
     return 0

@@ -100,11 +100,17 @@ class StrategyConfig:
     weights: PriorityWeights = field(default_factory=PriorityWeights)
 
     def __post_init__(self):
-        if isinstance(self.strategy, str):
-            try:
-                self.strategy = Strategy(self.strategy)
-            except ValueError as exc:
-                raise ValidationError(f"unknown strategy {self.strategy!r}") from exc
+        try:
+            self.strategy = Strategy(self.strategy)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"unknown strategy {self.strategy!r}") from exc
+        if type(self.registration_desks) is not int:
+            raise ValidationError(
+                f"registration_desks must be an integer, got {self.registration_desks!r}"
+            )
+        for name in ("memory_enabled", "drift_enabled"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValidationError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.strategy is not Strategy.AGENTIC:
             self.memory_enabled = False
             self.drift_enabled = False
@@ -125,11 +131,11 @@ class StrategyConfig:
     @staticmethod
     def from_dict(d: dict) -> "StrategyConfig":
         d = dict(d)
-        if "drift" in d:
-            d["drift"] = DriftParams.from_dict(d["drift"])
-        if "weights" in d:
-            d["weights"] = PriorityWeights.from_dict(d["weights"])
         try:
+            if "drift" in d:
+                d["drift"] = DriftParams(**d["drift"])
+            if "weights" in d:
+                d["weights"] = PriorityWeights(**d["weights"])
             return StrategyConfig(**d)
         except TypeError as exc:
             raise ValidationError(f"bad config: {exc}") from exc
@@ -243,8 +249,8 @@ class _Session:
 
     # -- plumbing ---------------------------------------------------------
 
-    def push(self, time: float, precedence: int, kind: str, payload=None):
-        heapq.heappush(self.heap, (time, precedence, next(self._seq), kind, payload))
+    def push(self, time: float, precedence: int, payload=None):
+        heapq.heappush(self.heap, (time, precedence, next(self._seq), payload))
 
     def record(self, time: float, kind: str, patient_id: str = "", physician_id: str = "", detail: str = ""):
         if self.collect_trace:
@@ -276,7 +282,7 @@ class _Session:
         dur = _positive_normal(
             self.rng_reg, self.config.registration_mean, self.config.registration_std, REG_MIN
         )
-        self.push(t + dur, _EVT_REG_DONE, "reg_done", patient)
+        self.push(t + dur, _EVT_REG_DONE, patient)
 
     def on_reg_done(self, t: float, patient: Patient):
         self.free_desks += 1
@@ -296,38 +302,38 @@ class _Session:
             current_acuity=face.acuity,
             memory_available=patient.has_history and patient.patient_id in self.history,
         )
-        physician = self._assign(patient)
+        physician = assign(patient, self.roster, self.config.strategy.value, self.rr_cursor)
+        self.rr_cursor += 1  # only round-robin reads it
         entry.assigned_physician = physician.physician_id
         physician.queue_length += 1
-        entry.priority = priority_score(
-            entry, t, self.load_of(physician.physician_id), self.config.weights
-        )
+        # The pool serves the highest priority first, so the priority is the
+        # strategy's rank: the composite score, the presenting class, or (for
+        # fcfs) nothing, which leaves enqueue order.
+        if self.config.strategy is Strategy.AGENTIC:
+            entry.priority = priority_score(
+                entry, t, self.load_of(physician.physician_id), self.config.weights
+            )
+        elif self.config.strategy is Strategy.RULE_BASED:
+            entry.priority = float(face.urgency.rank)
         self.queue.enqueue(entry)
         self.record(t, "enqueue", patient.patient_id, physician.physician_id)
-        self.push(t, _EVT_DISPATCH, "dispatch")
+        self.push(t, _EVT_DISPATCH)
 
-    def _assign(self, patient: Patient) -> Physician:
-        physician = assign(patient, self.roster, self.config.strategy.value, self.rr_cursor)
-        if self.config.strategy is Strategy.FCFS:
-            self.rr_cursor += 1
-        return physician
-
-    def on_reassess(self, t: float):
+    def on_reassess(self, t: float, _payload):
         events = self.queue.reassess_tick(
             t,
             self.backend,
             self.history,
             memory_enabled=self.config.memory_enabled,
-            drift_enabled=self.config.drift_enabled,
             load_of=self.load_of,
         )
         for ev in events:
             self.escalations.append(ev)
             self.record(t, "escalation", ev.patient_id, detail=f"{ev.from_level.value}->{ev.to_level.value}:{ev.cause}")
         if events:
-            self.push(t, _EVT_DISPATCH, "dispatch")
+            self.push(t, _EVT_DISPATCH)
 
-    def on_dispatch(self, t: float):
+    def on_dispatch(self, t: float, _payload):
         if t >= self.config.session_minutes:
             return
         # FCFS and rule-based patients wait at the desk they were assigned to
@@ -338,16 +344,9 @@ class _Session:
         for physician in self.roster:
             if physician.status is not PhysicianStatus.IDLE:
                 continue
-            if pooled:
-                if len(self.queue) == 0:
-                    return
-                entry = self.queue.dequeue_next(self.config.strategy.value)
-            else:
-                if physician.queue_length == 0:
-                    continue
-                entry = self.queue.dequeue_next(
-                    self.config.strategy.value, physician_id=physician.physician_id
-                )
+            if (len(self.queue) if pooled else physician.queue_length) == 0:
+                continue
+            entry = self.queue.dequeue_next(None if pooled else physician.physician_id)
             self.by_id[entry.assigned_physician].queue_length -= 1
             self._start_consult(t, physician, entry)
 
@@ -369,13 +368,13 @@ class _Session:
         )
         self.served.append(visit)
         self.record(t, "consult_start", entry.patient_id, physician.physician_id, entry.current_urgency.value)
-        self.push(t + dur, _EVT_CONSULT_END, "consult_end", physician)
+        self.push(t + dur, _EVT_CONSULT_END, physician)
 
     def on_consult_end(self, t: float, physician: Physician):
         physician.status = PhysicianStatus.IDLE
         physician.served_count += 1
         self.record(t, "consult_end", physician_id=physician.physician_id)
-        self.push(t, _EVT_DISPATCH, "dispatch")
+        self.push(t, _EVT_DISPATCH)
 
     # -- main loop --------------------------------------------------------
 
@@ -385,7 +384,7 @@ class _Session:
         times = sample_arrivals(default_profile(len(self.patients)), len(self.patients), rng_arr)
         order = rng_pair.permutation(len(self.patients))
         for i in range(len(self.patients)):
-            self.push(float(times[i]), _EVT_ARRIVAL, "arrival", self.patients[int(order[i])])
+            self.push(float(times[i]), _EVT_ARRIVAL, self.patients[int(order[i])])
 
         # The reassessment loop exists only when drift monitoring is on;
         # memory escalation rides inside it, so memory alone (drift off)
@@ -394,23 +393,21 @@ class _Session:
             interval = self.config.drift.check_interval
             t = interval
             while t <= self.config.session_minutes:
-                self.push(t, _EVT_REASSESS, "reassess")
+                self.push(t, _EVT_REASSESS)
                 t += interval
 
+        # Indexed by precedence.  Bound here, not at class level, so that
+        # handlers patched on the class are the ones that run.
+        handlers = (
+            self.on_consult_end,
+            self.on_reassess,
+            self.on_reg_done,
+            self.on_arrival,
+            self.on_dispatch,
+        )
         while self.heap:
-            t, _prec, _seq, kind, payload = heapq.heappop(self.heap)
-            if kind == "arrival":
-                self.on_arrival(t, payload)
-            elif kind == "reg_done":
-                self.on_reg_done(t, payload)
-            elif kind == "reassess":
-                self.on_reassess(t)
-            elif kind == "dispatch":
-                self.on_dispatch(t)
-            elif kind == "consult_end":
-                self.on_consult_end(t, payload)
-            else:  # pragma: no cover - guarded by construction
-                raise ValidationError(f"unknown event {kind}")
+            t, precedence, _seq, payload = heapq.heappop(self.heap)
+            handlers[precedence](t, payload)
 
         return self._finish()
 
@@ -428,16 +425,14 @@ class _Session:
         if accounted != n or len(served_ids) != len(served):
             raise ValidationError(f"patient accounting is inconsistent: {accounted} of {n}")
 
+        # Each patient's final level: at consult if served, current if still
+        # waiting, else as presented.
+        final = {p.patient_id: p.face_urgency for p in self.patients}
+        final.update((v.patient_id, v.effective_urgency) for v in served)
+        final.update((e.patient_id, e.current_urgency) for e in waiting)
         composition = {lvl.value: 0 for lvl in UrgencyLevel}
-        for v in served:
-            composition[v.effective_urgency.value] += 1
-        for e in waiting:
-            composition[e.current_urgency.value] += 1
-        untriaged = [p for p in self.patients if p.patient_id not in served_ids]
-        queued_ids = {e.patient_id for e in waiting}
-        for p in untriaged:
-            if p.patient_id not in queued_ids:
-                composition[p.face_urgency.value] += 1
+        for lvl in final.values():
+            composition[lvl.value] += 1
         if sum(composition.values()) != n:
             raise ValidationError("composition does not cover the cohort")
 

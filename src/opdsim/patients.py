@@ -11,7 +11,7 @@ account, plus the clinical reason.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from hashlib import sha256
 
@@ -403,22 +403,6 @@ class Patient:
     required_specialty: Specialty
     has_history: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "patient_id": self.patient_id,
-            "age": self.age,
-            "age_band": self.age_band.value,
-            "gender": self.gender,
-            "locality": self.locality,
-            "language": self.language,
-            "payment": self.payment,
-            "complaint": self.complaint,
-            "face_urgency": self.face_urgency.value,
-            "face_acuity": self.face_acuity,
-            "required_specialty": self.required_specialty.value,
-            "has_history": self.has_history,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "Patient":
         try:
@@ -445,9 +429,6 @@ class EscalationRule:
     target: UrgencyLevel
     reason: str
 
-    def to_dict(self) -> dict:
-        return {"target": self.target.value, "reason": self.reason}
-
     @staticmethod
     def from_dict(d: dict) -> "EscalationRule":
         return EscalationRule(UrgencyLevel(d["target"]), str(d["reason"]))
@@ -460,15 +441,6 @@ class HistoryRecord:
     medications: list[str]
     allergies: list[str]
     escalation_rule: EscalationRule
-
-    def to_dict(self) -> dict:
-        return {
-            "patient_id": self.patient_id,
-            "conditions": list(self.conditions),
-            "medications": list(self.medications),
-            "allergies": list(self.allergies),
-            "escalation_rule": self.escalation_rule.to_dict(),
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "HistoryRecord":
@@ -808,11 +780,18 @@ def _check_history_invariants(patients: list[Patient], records: dict[str, Histor
 DATASET_SCHEMA_VERSION = 1
 
 
+def _json_fields(items) -> dict:
+    """`asdict` factory that writes enums as their values."""
+    return {k: v.value if isinstance(v, Enum) else v for k, v in items}
+
+
 def dataset_to_dict(patients: list[Patient], history: dict[str, HistoryRecord]) -> dict:
     return {
         "schema_version": DATASET_SCHEMA_VERSION,
-        "patients": [p.to_dict() for p in patients],
-        "history": {pid: rec.to_dict() for pid, rec in sorted(history.items())},
+        "patients": [asdict(p, dict_factory=_json_fields) for p in patients],
+        "history": {
+            pid: asdict(rec, dict_factory=_json_fields) for pid, rec in sorted(history.items())
+        },
     }
 
 

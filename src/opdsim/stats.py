@@ -218,6 +218,12 @@ class MetricSummary:
     n: int
 
 
+def _summary(vals) -> MetricSummary:
+    arr = np.asarray(vals, dtype=float)
+    std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+    return MetricSummary(mean=float(np.mean(arr)), std=std, n=int(arr.size))
+
+
 def summarize_runs(metrics_list) -> dict[str, MetricSummary]:
     """Per-metric mean and sample std across runs (None values dropped)."""
     if not metrics_list:
@@ -226,27 +232,15 @@ def summarize_runs(metrics_list) -> dict[str, MetricSummary]:
     for name in METRIC_FIELDS:
         vals = [getattr(m, name) for m in metrics_list]
         vals = [v for v in vals if v is not None]
-        if not vals:
-            continue
-        arr = np.asarray(vals, dtype=float)
-        std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        out[name] = MetricSummary(mean=float(np.mean(arr)), std=std, n=int(arr.size))
+        if vals:
+            out[name] = _summary(vals)
     # Mean final composition and wait-by-urgency per level across runs.
     for level in ("critical", "high", "medium", "low"):
-        vals = [m.final_composition[level] for m in metrics_list]
-        arr = np.asarray(vals, dtype=float)
-        std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        out[f"composition_{level}"] = MetricSummary(
-            mean=float(np.mean(arr)), std=std, n=int(arr.size)
-        )
+        out[f"composition_{level}"] = _summary([m.final_composition[level] for m in metrics_list])
         waits = [m.wait_by_effective.get(level) for m in metrics_list]
         waits = [w for w in waits if w is not None]
         if waits:
-            arr = np.asarray(waits, dtype=float)
-            std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-            out[f"wait_eff_{level}"] = MetricSummary(
-                mean=float(np.mean(arr)), std=std, n=int(arr.size)
-            )
+            out[f"wait_eff_{level}"] = _summary(waits)
     return out
 
 

@@ -75,13 +75,6 @@ class DriftParams:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "DriftParams":
-        try:
-            return DriftParams(**d)
-        except TypeError as exc:
-            raise ValidationError(f"bad drift params: {exc}") from exc
-
 
 @dataclass
 class TriageResult:

@@ -6,13 +6,13 @@ reassessment sweeps the pool: memory-driven escalation is checked first for
 patients with a visible history record, then stochastic deterioration; a
 patient escalated by memory is not also drifted on the same sweep.
 
-Dequeue order depends on strategy: arrival order, static urgency class, or a
-recomputed composite priority.
+Dequeue order is one rule for every strategy: highest `priority` first, then
+earliest enqueue, then patient id.  The engine sets `priority` to the rank
+its strategy wants.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -47,16 +47,6 @@ class PriorityWeights:
         if self.wait_horizon <= 0:
             raise ValidationError("wait_horizon must be positive")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "PriorityWeights":
-        try:
-            return PriorityWeights(**d)
-        except TypeError as exc:
-            raise ValidationError(f"bad priority weights: {exc}") from exc
-
 
 @dataclass
 class EscalationEvent:
@@ -87,6 +77,7 @@ class QueueEntry:
     current_acuity: int
     assigned_physician: str | None = None
     memory_available: bool = False
+    # Dequeue rank, highest first.
     priority: float = 0.0
     # When the patient entered their current urgency level; equals
     # enqueue_time until an escalation bumps them.
@@ -144,15 +135,9 @@ class AdaptiveQueue:
             raise ValidationError(f"{entry.patient_id} is already queued")
         self._entries[entry.patient_id] = entry
 
-    def dequeue_next(
-        self, strategy: str, physician_id: str | None = None
-    ) -> QueueEntry:
-        """Pop the next entry for `physician_id` (or globally if None).
-
-        fcfs: earliest enqueue. rule_based: highest presenting urgency class,
-        then earliest enqueue. agentic: highest stored priority (kept fresh by
-        enqueue/reassessment/escalation recomputes), then earliest enqueue.
-        """
+    def dequeue_next(self, physician_id: str | None = None) -> QueueEntry:
+        """Pop the highest-priority entry for `physician_id` (or globally if
+        None); ties go to the earliest enqueue, then the lowest patient id."""
         pool = [
             e
             for e in self._entries.values()
@@ -164,17 +149,7 @@ class AdaptiveQueue:
                 if physician_id is None
                 else f"no waiting entries assigned to {physician_id}"
             )
-        if strategy == "fcfs":
-            best = min(pool, key=lambda e: (e.enqueue_time, e.patient_id))
-        elif strategy == "rule_based":
-            best = min(
-                pool,
-                key=lambda e: (-e.face_urgency.rank, e.enqueue_time, e.patient_id),
-            )
-        elif strategy == "agentic":
-            best = min(pool, key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
-        else:
-            raise ValidationError(f"unknown strategy {strategy!r}")
+        best = min(pool, key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
         return self._entries.pop(best.patient_id)
 
     def apply_escalation(
@@ -203,12 +178,11 @@ class AdaptiveQueue:
         backend: TriageBackend,
         history: dict[str, HistoryRecord],
         memory_enabled: bool,
-        drift_enabled: bool,
         load_of,
     ) -> list[EscalationEvent]:
-        """One sweep over the pool in enqueue order.
+        """One sweep over the pool in enqueue order.  The engine schedules
+        sweeps only when drift checking is on.
 
-        With deterioration checking disabled the sweep is a no-op.
         For each entry: if memory is on, the record is visible, and its target
         still exceeds the current level, run the (at-most-once) history check;
         when it fires, skip drift for that entry this sweep.  Otherwise run
@@ -216,8 +190,6 @@ class AdaptiveQueue:
         are never checked.  `load_of(physician_id)` supplies normalised desk
         load for the priority refresh applied to every entry at the end.
         """
-        if not drift_enabled:
-            return []
         events: list[EscalationEvent] = []
         for entry in list(self._entries.values()):
             escalated_by_memory = False

@@ -105,6 +105,32 @@ def test_run_invalid_config_value_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"strategy": ["x"]},
+        {"registration_desks": 2.5},
+        {"registration_desks": True},
+        {"memory_enabled": "no"},
+        {"drift_enabled": 0},
+    ],
+)
+def test_run_mistyped_config_exits_3(tmp_path, capsys, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--seed", "1", "--config", str(cfg)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_with_nobody_served(tmp_path, capsys):
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps({"session_minutes": 2}))
+    assert main(["run", "--seed", "1", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["avg_wait"] is None
+    assert "avg wait n/a" in captured.err
+
+
 def test_run_unwritable_out_exits_4(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")

@@ -246,6 +246,36 @@ def test_golden_twin_room_session(dataset42, strategy):
     assert _metrics_hash(res.metrics) == GOLDEN_TWIN_ROOM_METRICS[strategy]
 
 
+@pytest.mark.parametrize("strategy", ["fcfs", "rule_based"])
+def test_token_arms_start_the_desk_minimum(dataset42, strategy):
+    # Each consult at desk D starts the patient with the smallest key among
+    # those enqueued to D and not yet called: (enqueue time, id) for fcfs,
+    # with the presenting class in front for rule_based.
+    patients, history = dataset42
+    face_rank = {p.patient_id: p.face_urgency.rank for p in patients}
+
+    def key(pid, enqueued):
+        order = (enqueued, pid)
+        return (-face_rank[pid], *order) if strategy == "rule_based" else order
+
+    for seed in (1000, 1001, 1002):
+        res = run_session(patients, history, StrategyConfig(strategy=strategy), seed,
+                          collect_trace=True)
+        waiting: dict[str, dict[str, float]] = {}
+        visits = iter(res.served)
+        for row in res.trace:
+            if row["event"] == "enqueue":
+                waiting.setdefault(row["physician_id"], {})[row["patient_id"]] = row["time"]
+            elif row["event"] == "consult_start":
+                visit = next(visits)
+                assert (visit.patient_id, visit.physician_id) == (
+                    row["patient_id"], row["physician_id"])
+                desk = waiting[visit.physician_id]
+                assert visit.patient_id == min(desk, key=lambda pid: key(pid, desk[pid]))
+                del desk[visit.patient_id]
+        assert next(visits, None) is None
+
+
 # ------------------------------------------------------------ configuration
 
 

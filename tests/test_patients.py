@@ -131,7 +131,7 @@ def test_generation_is_deterministic():
     a = generate_dataset(99)
     b = generate_dataset(99)
     assert dataset_fingerprint(*a) == dataset_fingerprint(*b)
-    assert [p.to_dict() for p in a[0]] == [p.to_dict() for p in b[0]]
+    assert dataset_to_dict(*a) == dataset_to_dict(*b)
 
 
 def test_different_seeds_differ():

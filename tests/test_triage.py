@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from opdsim.engine import StrategyConfig
 from opdsim.errors import ValidationError
 from opdsim.patients import ESCALATION_ACUITY, UrgencyLevel
 from opdsim.triage import (
@@ -178,7 +179,7 @@ def test_drift_params_validation():
 
 def test_drift_params_round_trip():
     params = DriftParams(history_multiplier=1.7, p_history_escalation=0.2)
-    assert DriftParams.from_dict(params.to_dict()) == params
+    assert StrategyConfig.from_dict(StrategyConfig(drift=params).to_dict()).drift == params
 
 
 # -- alternative backends ---------------------------------------------------

@@ -1,10 +1,11 @@
-"""Tests for the waiting pool: priority formula, dequeue rules, reassessment."""
+"""Tests for the waiting pool: priority formula, dequeue order, reassessment."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opdsim.engine import StrategyConfig
 from opdsim.errors import ValidationError
 from opdsim.patients import (
     ESCALATION_ACUITY,
@@ -128,9 +129,9 @@ def test_priority_weights_validated():
     with pytest.raises(ValidationError):
         PriorityWeights(wait_horizon=0.0)
     with pytest.raises(ValidationError):
-        PriorityWeights.from_dict({"urgency": 0.45, "bogus": 1})
-    w = PriorityWeights()
-    assert PriorityWeights.from_dict(w.to_dict()) == w
+        StrategyConfig.from_dict({"weights": {"urgency": 0.45, "bogus": 1}})
+    w = PriorityWeights(urgency=0.5, acuity=0.2, waiting=0.2, load=0.1, wait_cap=0.4)
+    assert StrategyConfig.from_dict(StrategyConfig(weights=w).to_dict()).weights == w
 
 
 # ---------------------------------------------------------------- dequeue
@@ -143,90 +144,85 @@ def test_enqueue_duplicate_rejected():
         q.enqueue(_entry("P0001", t=2.0))
 
 
+def _ranked(pid, t, priority, **kw):
+    e = _entry(pid, t=t, **kw)
+    e.priority = priority
+    return e
+
+
 def test_dequeue_fcfs_takes_earliest():
+    # fcfs leaves every priority at 0.0, so enqueue time decides.
     q = AdaptiveQueue()
     for pid, t in [("P0003", 3.0), ("P0001", 1.0), ("P0002", 2.0)]:
         q.enqueue(_entry(pid, t=t))
-    first = q.dequeue_next("fcfs")
+    first = q.dequeue_next()
     assert first.patient_id == "P0001"
     assert [e.patient_id for e in q.entries()] == ["P0003", "P0002"]
 
 
 def test_dequeue_rule_based_prefers_presenting_class():
+    # rule_based ranks by presenting class: a later, hotter presenter wins.
     q = AdaptiveQueue()
-    q.enqueue(_entry("P0001", t=0.0, urgency=UrgencyLevel.LOW))
-    q.enqueue(_entry("P0002", t=50.0, urgency=UrgencyLevel.CRITICAL))
-    assert q.dequeue_next("rule_based").patient_id == "P0002"
+    q.enqueue(_ranked("P0001", 0.0, float(UrgencyLevel.LOW.rank)))
+    q.enqueue(_ranked("P0002", 50.0, float(UrgencyLevel.CRITICAL.rank)))
+    assert q.dequeue_next().patient_id == "P0002"
 
 
 def test_dequeue_rule_based_fifo_within_class():
     q = AdaptiveQueue()
-    q.enqueue(_entry("P0001", t=5.0, urgency=UrgencyLevel.MEDIUM))
-    q.enqueue(_entry("P0002", t=3.0, urgency=UrgencyLevel.MEDIUM))
-    assert q.dequeue_next("rule_based").patient_id == "P0002"
+    q.enqueue(_ranked("P0001", 5.0, float(UrgencyLevel.MEDIUM.rank)))
+    q.enqueue(_ranked("P0002", 3.0, float(UrgencyLevel.MEDIUM.rank)))
+    assert q.dequeue_next().patient_id == "P0002"
 
 
 def test_dequeue_rule_based_ignores_later_escalation():
-    # The static rule sorts on the class assigned at registration, so a
-    # patient escalated afterwards still waits behind a hotter presenter.
+    # apply_escalation leaves the rank alone, so a patient escalated after
+    # registration still waits behind a hotter presenter.
     q = AdaptiveQueue()
-    low = _entry("P0001", t=0.0, urgency=UrgencyLevel.LOW)
+    low = _ranked("P0001", 0.0, float(UrgencyLevel.LOW.rank))
     q.enqueue(low)
-    q.enqueue(_entry("P0002", t=10.0, urgency=UrgencyLevel.HIGH))
+    q.enqueue(_ranked("P0002", 10.0, float(UrgencyLevel.HIGH.rank)))
     q.apply_escalation(low, 20.0, UrgencyLevel.CRITICAL, CAUSE_DRIFT, "worsened")
-    assert q.dequeue_next("rule_based").patient_id == "P0002"
+    assert low.priority == float(UrgencyLevel.LOW.rank)
+    assert q.dequeue_next().patient_id == "P0002"
 
 
 def test_dequeue_agentic_highest_priority_wins():
     q = AdaptiveQueue()
-    a = _entry("P0001", t=0.0)
-    b = _entry("P0002", t=5.0)
-    a.priority, b.priority = 0.5, 0.9
-    q.enqueue(a)
-    q.enqueue(b)
-    assert q.dequeue_next("agentic").patient_id == "P0002"
+    q.enqueue(_ranked("P0001", 0.0, 0.5))
+    q.enqueue(_ranked("P0002", 5.0, 0.9))
+    assert q.dequeue_next().patient_id == "P0002"
 
 
 def test_dequeue_agentic_tie_breaks_on_arrival_then_id():
     q = AdaptiveQueue()
-    a = _entry("P0002", t=1.0)
-    b = _entry("P0001", t=3.0)
-    a.priority = b.priority = 0.7
-    q.enqueue(a)
-    q.enqueue(b)
-    assert q.dequeue_next("agentic").patient_id == "P0002"
+    q.enqueue(_ranked("P0002", 1.0, 0.7))
+    q.enqueue(_ranked("P0001", 3.0, 0.7))
+    assert q.dequeue_next().patient_id == "P0002"
 
     q2 = AdaptiveQueue()
-    c = _entry("P0002", t=1.0)
-    d = _entry("P0001", t=1.0)
-    c.priority = d.priority = 0.7
-    q2.enqueue(c)
-    q2.enqueue(d)
-    assert q2.dequeue_next("agentic").patient_id == "P0001"
+    q2.enqueue(_ranked("P0002", 1.0, 0.7))
+    q2.enqueue(_ranked("P0001", 1.0, 0.7))
+    assert q2.dequeue_next().patient_id == "P0001"
 
 
 def test_dequeue_scoped_to_physician():
+    # Scope filters before ranking: the pool-wide best is left alone.
     q = AdaptiveQueue()
-    q.enqueue(_entry("P0001", t=5.0, physician="GM-1"))
-    q.enqueue(_entry("P0002", t=1.0, physician="GM-2"))
-    assert q.dequeue_next("fcfs", physician_id="GM-1").patient_id == "P0001"
-    assert [e.patient_id for e in q.entries()] == ["P0002"]
+    q.enqueue(_ranked("P0001", 5.0, 0.1, physician="GM-1"))
+    q.enqueue(_ranked("P0002", 1.0, 0.9, physician="GM-2"))
+    q.enqueue(_ranked("P0003", 9.0, 0.1, physician="GM-1"))
+    assert q.dequeue_next(physician_id="GM-1").patient_id == "P0001"
+    assert [e.patient_id for e in q.entries()] == ["P0002", "P0003"]
 
 
 def test_dequeue_empty_queue_is_contract_violation():
     q = AdaptiveQueue()
     with pytest.raises(ValidationError):
-        q.dequeue_next("fcfs")
+        q.dequeue_next()
     q.enqueue(_entry("P0001", t=0.0, physician="GM-2"))
     with pytest.raises(ValidationError):
-        q.dequeue_next("fcfs", physician_id="GM-1")
-
-
-def test_dequeue_unknown_strategy_rejected():
-    q = AdaptiveQueue()
-    q.enqueue(_entry("P0001", t=0.0))
-    with pytest.raises(ValidationError):
-        q.dequeue_next("priority")
+        q.dequeue_next(physician_id="GM-1")
 
 
 # ---------------------------------------------------------------- escalation
@@ -283,24 +279,6 @@ def test_escalation_event_row_format():
 # ---------------------------------------------------------------- reassessment
 
 
-def test_reassess_noop_when_drift_disabled(dataset42):
-    patients, history = dataset42
-    pid = next(iter(history))
-    patient = next(p for p in patients if p.patient_id == pid)
-    q = AdaptiveQueue()
-    e = _entry(t=0.0, urgency=patient.face_urgency, acuity=patient.face_acuity,
-               memory=True, patient=patient)
-    e.priority = 0.123
-    q.enqueue(e)
-    backend = _backend(DriftParams(p_low=1.0, p_medium=1.0, p_high=1.0,
-                                   p_history_escalation=1.0))
-    events = q.reassess_tick(5.0, backend, history, memory_enabled=True,
-                             drift_enabled=False, load_of=lambda pid: 0.0)
-    assert events == []
-    assert e.current_urgency is patient.face_urgency
-    assert e.priority == 0.123  # not even refreshed
-
-
 def test_reassess_memory_fires_once_then_ceiling(dataset42):
     patients, history = dataset42
     pid, record = next(
@@ -315,7 +293,7 @@ def test_reassess_memory_fires_once_then_ceiling(dataset42):
     backend = _backend(DriftParams(p_low=1.0, p_medium=1.0, p_high=1.0,
                                    p_history_escalation=1.0))
     first = q.reassess_tick(5.0, backend, history, memory_enabled=True,
-                            drift_enabled=True, load_of=lambda pid: 0.0)
+                            load_of=lambda pid: 0.0)
     assert len(first) == 1
     assert first[0].cause == CAUSE_MEMORY
     assert first[0].to_level is UrgencyLevel.CRITICAL
@@ -323,7 +301,7 @@ def test_reassess_memory_fires_once_then_ceiling(dataset42):
     assert e.level_entry_time == 5.0
     # Next sweep: the history check already fired and critical cannot drift.
     second = q.reassess_tick(10.0, backend, history, memory_enabled=True,
-                             drift_enabled=True, load_of=lambda pid: 0.0)
+                             load_of=lambda pid: 0.0)
     assert second == []
 
 
@@ -343,7 +321,7 @@ def test_reassess_memory_preempts_drift_same_sweep(dataset42):
     backend = _backend(DriftParams(p_low=1.0, p_medium=1.0, p_high=1.0,
                                    p_history_escalation=1.0))
     events = q.reassess_tick(5.0, backend, history, memory_enabled=True,
-                             drift_enabled=True, load_of=lambda pid: 0.0)
+                             load_of=lambda pid: 0.0)
     assert [ev.cause for ev in events] == [CAUSE_MEMORY]
     assert e.current_urgency is UrgencyLevel.HIGH
 
@@ -356,7 +334,7 @@ def test_reassess_drift_climbs_one_level_per_sweep():
     seen = []
     for tick in (5.0, 10.0, 15.0, 20.0):
         seen += q.reassess_tick(tick, backend, {}, memory_enabled=False,
-                                drift_enabled=True, load_of=lambda pid: 0.0)
+                                load_of=lambda pid: 0.0)
     # Three sweeps climb low -> medium -> high -> critical; the fourth finds
     # the entry at the ceiling and leaves it alone.
     assert [ev.to_level for ev in seen] == [
@@ -375,7 +353,7 @@ def test_reassess_refreshes_all_priorities():
     loads = {"GM-1": 0.25, "GM-2": 1.0}
     backend = _backend(NEVER_DRIFT)
     events = q.reassess_tick(30.0, backend, {}, memory_enabled=False,
-                             drift_enabled=True, load_of=loads.__getitem__)
+                             load_of=loads.__getitem__)
     assert events == []
     for entry in (a, b):
         expected = priority_score(entry, 30.0, loads[entry.assigned_physician])
@@ -398,6 +376,6 @@ def test_reassess_memory_skipped_once_target_reached(dataset42):
     backend = _backend(DriftParams(p_low=1.0, p_medium=1.0, p_high=1.0,
                                    p_history_escalation=1.0))
     events = q.reassess_tick(5.0, backend, history, memory_enabled=True,
-                             drift_enabled=True, load_of=lambda pid: 0.0)
+                             load_of=lambda pid: 0.0)
     assert [ev.cause for ev in events] == [CAUSE_DRIFT]
     assert e.current_urgency is UrgencyLevel.CRITICAL
