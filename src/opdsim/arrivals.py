@@ -118,7 +118,7 @@ def sample_arrivals(profile: IntensityProfile, n_patients: int, seed_or_rng) -> 
     mix in every run), so a mismatched dataset size is a caller error.
     """
     if n_patients != N_PATIENTS:
-        raise ValueError(f"arrival sampling is defined for the {N_PATIENTS}-patient cohort")
+        raise ValidationError(f"arrival sampling is defined for the {N_PATIENTS}-patient cohort")
     if abs(profile.integral() - n_patients) > 0.5 * n_patients:
         raise ValidationError("profile integral is far from the requested count; resampling would stall")
     rng = _as_rng(seed_or_rng)

@@ -82,10 +82,14 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _refuse_constant(name: str):
+    raise ValidationError(f"{name} is not a valid JSON number")
+
+
 def _read_json(path: Path):
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+    except (json.JSONDecodeError, ValidationError) as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -122,7 +122,10 @@ class StrategyConfig:
             raise ValidationError("need at least one registration desk")
         if self.registration_mean <= 0 or self.registration_std < 0:
             raise ValidationError("bad registration time parameters")
-        if self.session_minutes <= 0:
+        minutes = self.session_minutes
+        if isinstance(minutes, bool) or not isinstance(minutes, (int, float)):
+            raise ValidationError(f"session_minutes must be a number, got {minutes!r}")
+        if not minutes > 0:  # also refuses NaN
             raise ValidationError("session must have positive length")
 
     def to_dict(self) -> dict:
@@ -293,13 +296,13 @@ class _Session:
             self.late_registrations += 1  # too late to join the consult queue
             return
         self.record(t, "reg_done", patient.patient_id)
-        face = self.backend.triage_face_value(patient)
+        urgency, acuity = self.backend.triage_face_value(patient)
         entry = QueueEntry(
             patient=patient,
             enqueue_time=t,
-            face_urgency=face.urgency,
-            current_urgency=face.urgency,
-            current_acuity=face.acuity,
+            face_urgency=urgency,
+            current_urgency=urgency,
+            current_acuity=acuity,
             memory_available=patient.has_history and patient.patient_id in self.history,
         )
         physician = assign(patient, self.roster, self.config.strategy.value, self.rr_cursor)
@@ -314,7 +317,7 @@ class _Session:
                 entry, t, self.load_of(physician.physician_id), self.config.weights
             )
         elif self.config.strategy is Strategy.RULE_BASED:
-            entry.priority = float(face.urgency.rank)
+            entry.priority = float(urgency.rank)
         self.queue.enqueue(entry)
         self.record(t, "enqueue", patient.patient_id, physician.physician_id)
         self.push(t, _EVT_DISPATCH)
@@ -332,6 +335,11 @@ class _Session:
             self.record(t, "escalation", ev.patient_id, detail=f"{ev.from_level.value}->{ev.to_level.value}:{ev.cause}")
         if events:
             self.push(t, _EVT_DISPATCH)
+        # With nothing else pending no patient can join the pool, so later
+        # ticks would only sweep an empty one.
+        nxt = t + self.config.drift.check_interval
+        if self.heap and nxt <= self.config.session_minutes:
+            self.push(nxt, _EVT_REASSESS)
 
     def on_dispatch(self, t: float, _payload):
         if t >= self.config.session_minutes:
@@ -388,13 +396,10 @@ class _Session:
 
         # The reassessment loop exists only when drift monitoring is on;
         # memory escalation rides inside it, so memory alone (drift off)
-        # produces no escalations at all.
-        if self.config.drift_enabled:
-            interval = self.config.drift.check_interval
-            t = interval
-            while t <= self.config.session_minutes:
-                self.push(t, _EVT_REASSESS)
-                t += interval
+        # produces no escalations at all.  Each tick schedules the next.
+        first = self.config.drift.check_interval
+        if self.config.drift_enabled and first <= self.config.session_minutes:
+            self.push(first, _EVT_REASSESS)
 
         # Indexed by precedence.  Bound here, not at class level, so that
         # handlers patched on the class are the ones that run.
@@ -499,7 +504,6 @@ def run_session(
     config: StrategyConfig,
     seed: int,
     roster: list[Physician] | None = None,
-    backend_factory=None,
     collect_trace: bool = False,
 ) -> SessionResult:
     """Simulate one session and return its metrics, escalation log, and
@@ -512,8 +516,7 @@ def run_session(
     ]
     if not roster:
         raise ValidationError("empty roster")
-    factory = backend_factory or CalibratedTriageBackend
-    backend = factory(_stream(seed, _STREAM_BACKEND), config.drift)
+    backend = CalibratedTriageBackend(_stream(seed, _STREAM_BACKEND), config.drift)
     return _Session(patients, history, config, seed, roster, backend, collect_trace).run()
 
 

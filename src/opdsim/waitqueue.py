@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .patients import ESCALATION_ACUITY, HistoryRecord, Patient, UrgencyLevel
-from .triage import TriageBackend
+from .triage import CalibratedTriageBackend
 
 W_URGENCY = 0.45
 W_ACUITY = 0.20
@@ -41,6 +41,8 @@ class PriorityWeights:
     wait_cap: float = WAIT_TERM_CAP
 
     def __post_init__(self):
+        if min(self.urgency, self.acuity, self.waiting, self.load, self.wait_cap) < 0:
+            raise ValidationError("priority weights and wait_cap must be non-negative")
         total = self.urgency + self.acuity + self.waiting + self.load
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"priority weights must sum to 1, got {total}")
@@ -175,7 +177,7 @@ class AdaptiveQueue:
     def reassess_tick(
         self,
         now: float,
-        backend: TriageBackend,
+        backend: CalibratedTriageBackend,
         history: dict[str, HistoryRecord],
         memory_enabled: bool,
         load_of,
@@ -184,11 +186,12 @@ class AdaptiveQueue:
         sweeps only when drift checking is on.
 
         For each entry: if memory is on, the record is visible, and its target
-        still exceeds the current level, run the (at-most-once) history check;
-        when it fires, skip drift for that entry this sweep.  Otherwise run
-        one deterioration check — critical patients are already at ceiling and
-        are never checked.  `load_of(physician_id)` supplies normalised desk
-        load for the priority refresh applied to every entry at the end.
+        still exceeds the current level, run the history check; when it fires,
+        the entry reaches the target (so it is never checked again) and skips
+        drift this sweep.  Otherwise run one deterioration check — critical
+        patients are already at ceiling and are never checked.
+        `load_of(physician_id)` supplies normalised desk load for the priority
+        refresh applied to every entry at the end.
         """
         events: list[EscalationEvent] = []
         for entry in list(self._entries.values()):
@@ -196,11 +199,11 @@ class AdaptiveQueue:
             if memory_enabled and entry.memory_available:
                 record = history.get(entry.patient_id)
                 if record is not None and record.escalation_rule.target.rank > entry.current_urgency.rank:
-                    result = backend.assess_history_escalation(entry.patient, record)
-                    if result is not None:
+                    rule = backend.assess_history_escalation(entry.patient, record)
+                    if rule is not None:
                         events.append(
                             self.apply_escalation(
-                                entry, now, result.urgency, CAUSE_MEMORY, result.reasoning
+                                entry, now, rule.target, CAUSE_MEMORY, rule.reason
                             )
                         )
                         escalated_by_memory = True

@@ -113,6 +113,11 @@ def test_run_invalid_config_value_exits_3(tmp_path, capsys):
         {"registration_desks": True},
         {"memory_enabled": "no"},
         {"drift_enabled": 0},
+        {"session_minutes": float("nan")},
+        {"session_minutes": float("inf")},
+        {"session_minutes": True},
+        {"weights": {"wait_cap": -1.0}},
+        {"weights": {"urgency": 0.9, "load": -0.3}},
     ],
 )
 def test_run_mistyped_config_exits_3(tmp_path, capsys, config):

@@ -17,8 +17,8 @@ from opdsim.engine import (
 )
 from opdsim.errors import ValidationError
 from opdsim.assignment import Physician
-from opdsim.patients import N_PATIENTS, Specialty, UrgencyLevel
-from opdsim.triage import DriftParams, FixedLowBackend
+from opdsim.patients import N_PATIENTS, Specialty
+from opdsim.triage import DriftParams
 
 STRATEGIES = ("fcfs", "rule_based", "agentic")
 
@@ -345,25 +345,26 @@ def test_run_ablations_covers_all_variants(dataset42):
         assert r.metrics.escalation_count == 0
 
 
-# ------------------------------------------------------------ pluggability
+# ------------------------------------------------------------ reassessment
 
 
-def test_engine_accepts_alternate_backend(dataset42):
+def test_reassessment_ticks_stop_when_nothing_is_pending(dataset42, monkeypatch):
+    # Each tick schedules the next only while other events are pending, so a
+    # session that never closes still ends once everyone has been seen.
     patients, history = dataset42
-    res = run_session(
-        patients,
-        history,
-        StrategyConfig(strategy="agentic"),
-        seed=9,
-        backend_factory=FixedLowBackend,
-    )
-    m = res.metrics
-    assert m.escalation_count == 0
-    assert all(v.effective_urgency is UrgencyLevel.LOW for v in res.served)
-    # Everyone triaged is low; only never-registered leftovers keep their
-    # presenting level in the composition.
-    assert m.final_composition["low"] >= m.served_count
-    assert sum(m.final_composition.values()) == N_PATIENTS
+    ticks = []
+    on_reassess = engine._Session.on_reassess
+
+    def counting(self, t, payload):
+        ticks.append(t)
+        on_reassess(self, t, payload)
+
+    monkeypatch.setattr(engine._Session, "on_reassess", counting)
+    cfg = StrategyConfig(strategy="agentic", session_minutes=1e6)
+    res = run_session(patients, history, cfg, seed=GOLDEN_SEED)
+    assert res.metrics.unserved_count == 0
+    last_end = max(v.consult_end for v in res.served)
+    assert 0 < len(ticks) <= int(last_end / cfg.drift.check_interval) + 1
 
 
 # ------------------------------------------------------------ fairness

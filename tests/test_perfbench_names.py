@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 from opdsim import cli
+from opdsim.engine import StrategyConfig, run_session
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +35,29 @@ def test_every_tracing_target_resolves():
 def test_experiment_session_hooks_exist():
     assert callable(cli._worker_run)
     assert callable(cli._run_many)
+
+
+def test_triage_spans_count_a_session(dataset42, monkeypatch):
+    # Wrap the triage targets on their class, as perfbench does, so that the
+    # `triage.*` per-layer metrics cannot silently read 0.
+    tracing = _tracing()
+    calls = {}
+    for module, path, name, _kind in tracing.TARGETS:
+        if not name.startswith("triage."):
+            continue
+        owner, attr = tracing._resolve(module, path)
+
+        def counting(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    patients, history = dataset42
+    res = run_session(
+        patients, history, StrategyConfig(strategy="agentic"), seed=1, collect_trace=True
+    )
+    enqueues = sum(1 for row in res.trace if row["event"] == "enqueue")
+    assert enqueues > 0
+    assert calls["triage.triage_face_value"] == enqueues
+    assert calls["triage.assess_drift"] > 0
+    assert calls["triage.assess_history_escalation"] > 0

@@ -1,4 +1,4 @@
-"""Severity backend: face triage, history escalation, drift draws."""
+"""Severity model: face triage, history escalation, drift draws."""
 
 import math
 
@@ -7,11 +7,10 @@ import pytest
 
 from opdsim.engine import StrategyConfig
 from opdsim.errors import ValidationError
-from opdsim.patients import ESCALATION_ACUITY, UrgencyLevel
+from opdsim.patients import UrgencyLevel
 from opdsim.triage import (
     CalibratedTriageBackend,
     DriftParams,
-    FixedLowBackend,
     P_DRIFT_HIGH,
     P_DRIFT_LOW,
     P_DRIFT_MEDIUM,
@@ -29,11 +28,7 @@ def test_face_triage_is_a_pass_through(dataset42):
     patients, _ = dataset42
     backend = _backend()
     for p in patients[:60]:
-        result = backend.triage_face_value(p)
-        assert result.urgency is p.face_urgency
-        assert result.acuity == p.face_acuity
-        assert result.specialty is p.required_specialty
-        assert 0.0 <= result.confidence <= 1.0
+        assert backend.triage_face_value(p) == (p.face_urgency, p.face_acuity)
 
 
 def test_face_triage_critical_acuity(dataset42):
@@ -41,7 +36,8 @@ def test_face_triage_critical_acuity(dataset42):
     backend = _backend()
     for p in patients:
         if p.face_urgency is UrgencyLevel.CRITICAL:
-            assert backend.triage_face_value(p).acuity in (9, 10)
+            _urgency, acuity = backend.triage_face_value(p)
+            assert acuity in (9, 10)
 
 
 def test_face_triage_archetype_is_low(dataset42):
@@ -49,7 +45,8 @@ def test_face_triage_archetype_is_low(dataset42):
     mild = [p for p in patients if p.complaint == "Mild headache, dizziness"]
     assert mild
     backend = _backend()
-    assert backend.triage_face_value(mild[0]).urgency is UrgencyLevel.LOW
+    urgency, _acuity = backend.triage_face_value(mild[0])
+    assert urgency is UrgencyLevel.LOW
 
 
 # -- history escalation ------------------------------------------------------
@@ -67,23 +64,14 @@ def _history_pair(dataset42, fragment):
 def test_memory_escalation_eventually_fires(dataset42):
     patient, record = _history_pair(dataset42, "TIA")
     backend = _backend(seed=3, p_history_escalation=0.5)
-    result = None
+    rule = None
     for _ in range(200):
-        result = backend.assess_history_escalation(patient, record)
-        if result is not None:
+        rule = backend.assess_history_escalation(patient, record)
+        if rule is not None:
             break
-    assert result is not None
-    assert result.urgency is UrgencyLevel.CRITICAL
-    assert "TIA" in result.reasoning
-    assert result.acuity == ESCALATION_ACUITY[UrgencyLevel.CRITICAL]
-
-
-def test_memory_escalation_at_most_once(dataset42):
-    patient, record = _history_pair(dataset42, "TIA")
-    backend = _backend(seed=3, p_history_escalation=1.0)
-    assert backend.assess_history_escalation(patient, record) is not None
-    for _ in range(50):
-        assert backend.assess_history_escalation(patient, record) is None
+    assert rule is record.escalation_rule
+    assert rule.target is UrgencyLevel.CRITICAL
+    assert "TIA" in rule.reason
 
 
 def test_memory_escalation_zero_probability_never_fires(dataset42):
@@ -180,14 +168,3 @@ def test_drift_params_validation():
 def test_drift_params_round_trip():
     params = DriftParams(history_multiplier=1.7, p_history_escalation=0.2)
     assert StrategyConfig.from_dict(StrategyConfig(drift=params).to_dict()).drift == params
-
-
-# -- alternative backends ---------------------------------------------------
-
-
-def test_fixed_low_backend_contract(dataset42):
-    patients, _ = dataset42
-    stub = FixedLowBackend(np.random.default_rng(0), DriftParams())
-    result = stub.triage_face_value(patients[0])
-    assert result.urgency is UrgencyLevel.LOW
-    assert stub.assess_drift(UrgencyLevel.MEDIUM, True) is None

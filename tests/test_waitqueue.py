@@ -305,6 +305,42 @@ def test_reassess_memory_fires_once_then_ceiling(dataset42):
     assert second == []
 
 
+def test_reassess_asks_the_chart_until_the_rule_fires(dataset42):
+    # At p = 0.5 the history check misses some sweeps; once it fires the
+    # entry holds the rule's target, so the pool never asks again.
+    patients, history = dataset42
+    pid, record = next(
+        (pid, r) for pid, r in history.items()
+        if r.escalation_rule.target is UrgencyLevel.CRITICAL
+    )
+    patient = next(p for p in patients if p.patient_id == pid)
+    q = AdaptiveQueue()
+    e = _entry(t=0.0, urgency=patient.face_urgency, acuity=patient.face_acuity,
+               memory=True, patient=patient)
+    q.enqueue(e)
+    backend = _backend(DriftParams(p_low=0.0, p_medium=0.0, p_high=0.0,
+                                   p_history_escalation=0.5), seed=4)
+    answers = []
+    assess = backend.assess_history_escalation
+
+    def counting(patient, record):
+        answers.append(assess(patient, record))
+        return answers[-1]
+
+    backend.assess_history_escalation = counting
+    events = []
+    for k in range(1, 41):
+        events += q.reassess_tick(5.0 * k, backend, history, memory_enabled=True,
+                                  load_of=lambda pid: 0.0)
+    fired = [a for a in answers if a is not None]
+    assert fired == [record.escalation_rule]
+    assert answers[-1] is not None
+    assert len(answers) > 1  # seed 4 misses at least once before it fires
+    assert [ev.cause for ev in events] == [CAUSE_MEMORY]
+    assert e.current_urgency is UrgencyLevel.CRITICAL
+    assert e.current_acuity == ESCALATION_ACUITY[UrgencyLevel.CRITICAL]
+
+
 def test_reassess_memory_preempts_drift_same_sweep(dataset42):
     # A certain-to-fire drift check must be skipped on the sweep where the
     # history rule escalates the same patient.
