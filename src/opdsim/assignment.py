@@ -68,23 +68,23 @@ class AssignmentScore:
         )
 
 
+def _specialty_match(patient: Patient, physician: Physician) -> float:
+    if physician.specialty is patient.required_specialty:
+        return MATCH_EXACT
+    if physician.specialty is Specialty.GENERAL_MEDICINE:
+        return MATCH_GENERALIST
+    return MATCH_NONE
+
+
 def score_assignment(
     patient: Patient, physician: Physician, roster: list[Physician]
 ) -> AssignmentScore:
-    if physician.specialty is patient.required_specialty:
-        match = MATCH_EXACT
-    elif physician.specialty is Specialty.GENERAL_MEDICINE:
-        match = MATCH_GENERALIST
-    else:
-        match = MATCH_NONE
     max_queue = max(1, max(p.queue_length for p in roster))
-    load_balance = 1.0 - physician.queue_length / max_queue
-    availability = 1.0 if physician.status is PhysicianStatus.IDLE else 0.0
     return AssignmentScore(
         physician_id=physician.physician_id,
-        specialty_match=match,
-        load_balance=load_balance,
-        availability=availability,
+        specialty_match=_specialty_match(patient, physician),
+        load_balance=1.0 - physician.queue_length / max_queue,
+        availability=1.0 if physician.status is PhysicianStatus.IDLE else 0.0,
     )
 
 
@@ -99,10 +99,22 @@ def assign_rule_based(patient: Patient, roster: list[Physician]) -> Physician:
 
 
 def assign_scored(patient: Patient, roster: list[Physician]) -> Physician:
-    scored = [(score_assignment(patient, p, roster).total, p) for p in roster]
-    # Deterministic argmax: highest score, ties broken by id order.
-    best = min(scored, key=lambda sp: (-sp[0], sp[1].physician_id))
-    return best[1]
+    """The highest `score_assignment(...).total`, ties broken by id order.
+
+    One pass: the longest queue is read once, and each total is summed in
+    `AssignmentScore`'s order, so the scores are the same floats.
+    """
+    max_queue = max(1, max(p.queue_length for p in roster))
+
+    def key(p: Physician):
+        total = (
+            W_SPECIALTY * _specialty_match(patient, p)
+            + W_LOAD * (1.0 - p.queue_length / max_queue)
+            + W_AVAILABILITY * (1.0 if p.status is PhysicianStatus.IDLE else 0.0)
+        )
+        return -total, p.physician_id
+
+    return min(roster, key=key)
 
 
 def assign(

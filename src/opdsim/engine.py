@@ -24,7 +24,7 @@ import numpy as np
 
 from .arrivals import default_profile, sample_arrivals
 from .assignment import Physician, PhysicianStatus, assign, default_roster
-from .errors import ValidationError
+from .errors import ValidationError, require_number
 from .patients import HistoryRecord, N_PATIENTS, Patient, UrgencyLevel
 from .triage import CalibratedTriageBackend, DriftParams
 from .waitqueue import (
@@ -120,12 +120,11 @@ class StrategyConfig:
             )
         if self.registration_desks < 1:
             raise ValidationError("need at least one registration desk")
+        for name in ("registration_mean", "registration_std", "session_minutes"):
+            require_number(name, getattr(self, name))
         if self.registration_mean <= 0 or self.registration_std < 0:
             raise ValidationError("bad registration time parameters")
-        minutes = self.session_minutes
-        if isinstance(minutes, bool) or not isinstance(minutes, (int, float)):
-            raise ValidationError(f"session_minutes must be a number, got {minutes!r}")
-        if not minutes > 0:  # also refuses NaN
+        if self.session_minutes <= 0:
             raise ValidationError("session must have positive length")
 
     def to_dict(self) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_number
 from .patients import EscalationRule, HistoryRecord, Patient, UrgencyLevel
 
 # Per-check deterioration probabilities by current level.  Medium sits highest:
@@ -32,6 +32,9 @@ HISTORY_DRIFT_MULTIPLIER = 1.2
 P_HISTORY_ESCALATION = 1.0
 
 REASSESS_INTERVAL = 5.0
+# Every tick sweeps the whole pool, so a near-zero interval makes a run
+# effectively unbounded; a tenth of a minute is 50 sweeps per default interval.
+MIN_CHECK_INTERVAL = 0.1
 
 
 @dataclass(frozen=True)
@@ -46,14 +49,18 @@ class DriftParams:
     p_history_escalation: float = P_HISTORY_ESCALATION
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            require_number(f.name, getattr(self, f.name))
         for name in ("p_high", "p_medium", "p_low", "p_history_escalation"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must be a probability, got {v}")
         if self.history_multiplier < 0:
             raise ValidationError("history_multiplier must be non-negative")
-        if self.check_interval <= 0:
-            raise ValidationError("check_interval must be positive")
+        if self.check_interval < MIN_CHECK_INTERVAL:
+            raise ValidationError(
+                f"check_interval must be at least {MIN_CHECK_INTERVAL}, got {self.check_interval}"
+            )
 
     def drift_probability(self, level: UrgencyLevel, has_history: bool) -> float:
         base = {
@@ -75,6 +82,14 @@ class CalibratedTriageBackend:
     def __init__(self, rng: np.random.Generator, params: DriftParams):
         self.rng = rng
         self.params = params
+        # drift_probability by [rank, history visible], for the levels that drift.
+        self._drift_table = np.array(
+            [
+                [params.drift_probability(level, has_history) for has_history in (False, True)]
+                for level in sorted(UrgencyLevel, key=lambda lvl: lvl.rank)
+                if level is not UrgencyLevel.CRITICAL
+            ]
+        )
 
     def triage_face_value(self, patient: Patient) -> tuple[UrgencyLevel, int]:
         """Grade a presenting patient on visible signs alone: (urgency, acuity)."""
@@ -110,3 +125,15 @@ class CalibratedTriageBackend:
         if float(self.rng.random()) < p:
             return current.next_higher()
         return None
+
+    def assess_drift_batch(self, ranks: np.ndarray, has_history: np.ndarray) -> np.ndarray:
+        """`assess_drift` for a block of patients: True where one deteriorates.
+
+        `ranks` are `UrgencyLevel.rank`s below critical; `has_history` is as
+        for `assess_drift`.  One uniform is drawn per patient, in order, which
+        reads the stream exactly as that many scalar calls would.
+        """
+        if len(ranks) and ranks.max() >= UrgencyLevel.CRITICAL.rank:
+            raise ValidationError("critical patients do not drift further")
+        p = self._drift_table[ranks, has_history.astype(np.intp)]
+        return self.rng.random(len(ranks)) < p

@@ -118,6 +118,11 @@ def test_run_invalid_config_value_exits_3(tmp_path, capsys):
         {"session_minutes": True},
         {"weights": {"wait_cap": -1.0}},
         {"weights": {"urgency": 0.9, "load": -0.3}},
+        {"drift": {"p_low": True}},
+        {"registration_mean": True},
+        {"registration_std": False},
+        {"weights": {"wait_horizon": True}},
+        {"drift": {"check_interval": 0.0001}},
     ],
 )
 def test_run_mistyped_config_exits_3(tmp_path, capsys, config):

@@ -293,6 +293,11 @@ def test_config_validation_and_round_trip():
         StrategyConfig(registration_desks=0)
     with pytest.raises(ValidationError):
         StrategyConfig(session_minutes=-1)
+    # A NaN mean would make every registration draw resample forever, and a
+    # NaN session never closes.
+    for field in ("registration_mean", "session_minutes"):
+        with pytest.raises(ValidationError):
+            StrategyConfig(**{field: float("nan")})
     cfg = StrategyConfig(strategy="rule_based", session_minutes=300.0)
     assert StrategyConfig.from_dict(cfg.to_dict()) == cfg
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 from opdsim import cli
 from opdsim.engine import StrategyConfig, run_session
+from opdsim.triage import CalibratedTriageBackend
+from opdsim.waitqueue import AdaptiveQueue
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,6 +54,15 @@ def test_triage_spans_count_a_session(dataset42, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counting)
+    # Sweeps draw drift checks in blocks, through a method TARGETS does not
+    # name, so the scalar `triage.assess_drift` reads 0 on a session.
+    batch = CalibratedTriageBackend.assess_drift_batch
+
+    def counting_batch(*args, **kwargs):
+        calls["assess_drift_batch"] = calls.get("assess_drift_batch", 0) + 1
+        return batch(*args, **kwargs)
+
+    monkeypatch.setattr(CalibratedTriageBackend, "assess_drift_batch", counting_batch)
     patients, history = dataset42
     res = run_session(
         patients, history, StrategyConfig(strategy="agentic"), seed=1, collect_trace=True
@@ -59,5 +70,25 @@ def test_triage_spans_count_a_session(dataset42, monkeypatch):
     enqueues = sum(1 for row in res.trace if row["event"] == "enqueue")
     assert enqueues > 0
     assert calls["triage.triage_face_value"] == enqueues
-    assert calls["triage.assess_drift"] > 0
+    assert calls["assess_drift_batch"] > 0
     assert calls["triage.assess_history_escalation"] > 0
+
+
+def test_pool_length_counts_its_entries(dataset42, monkeypatch):
+    # perfbench's `reassess_tick.entries` and `dequeue_next.entries_scanned`
+    # read `len(queue)`; it must stay the number of waiting entries.
+    checked = []
+    for name in ("enqueue", "dequeue_next", "reassess_tick"):
+        method = getattr(AdaptiveQueue, name)
+
+        def checking(self, *args, _method=method, **kwargs):
+            assert len(self) == len(self.entries())
+            out = _method(self, *args, **kwargs)
+            assert len(self) == len(self.entries())
+            checked.append(len(self))
+            return out
+
+        monkeypatch.setattr(AdaptiveQueue, name, checking)
+    patients, history = dataset42
+    run_session(patients, history, StrategyConfig(strategy="agentic"), seed=1)
+    assert max(checked) > 0

@@ -11,6 +11,7 @@ from opdsim.patients import UrgencyLevel
 from opdsim.triage import (
     CalibratedTriageBackend,
     DriftParams,
+    MIN_CHECK_INTERVAL,
     P_DRIFT_HIGH,
     P_DRIFT_LOW,
     P_DRIFT_MEDIUM,
@@ -138,6 +139,32 @@ def test_drift_critical_input_rejected():
     backend = _backend()
     with pytest.raises(ValidationError):
         backend.assess_drift(UrgencyLevel.CRITICAL, False)
+    with pytest.raises(ValidationError):
+        backend.assess_drift_batch(
+            np.array([UrgencyLevel.LOW.rank, UrgencyLevel.CRITICAL.rank]), np.zeros(2, bool)
+        )
+
+
+@pytest.mark.parametrize("multiplier", [1.2, 40.0])
+def test_drift_batch_matches_scalar_checks(multiplier):
+    # A twin generator makes one scalar check per row; the batch must fire on
+    # the same rows and leave the stream in the same place.  At 40x every
+    # history-visible probability is capped at 1.
+    params = dict(p_low=0.02, p_medium=0.3, p_high=0.1, history_multiplier=multiplier)
+    batch, scalar = _backend(seed=11, **params), _backend(seed=11, **params)
+    rng = np.random.default_rng(3)
+    levels = [UrgencyLevel.LOW, UrgencyLevel.MEDIUM, UrgencyLevel.HIGH]
+    for n in (0, 1, 7, 200):
+        picked = [levels[k] for k in rng.integers(0, 3, n)]
+        visible = rng.random(n) < 0.5
+        fired = batch.assess_drift_batch(
+            np.array([lvl.rank for lvl in picked], dtype=np.intp), visible
+        )
+        expected = [
+            scalar.assess_drift(lvl, bool(h)) is not None for lvl, h in zip(picked, visible)
+        ]
+        assert fired.tolist() == expected
+        assert batch.rng.bit_generator.state == scalar.rng.bit_generator.state
 
 
 def test_history_multiplier_scales_probability():
@@ -162,7 +189,12 @@ def test_drift_params_validation():
     with pytest.raises(ValidationError):
         DriftParams(history_multiplier=-1.0)
     with pytest.raises(ValidationError):
+        DriftParams(history_multiplier=float("nan"))
+    with pytest.raises(ValidationError):
         DriftParams(check_interval=0.0)
+    with pytest.raises(ValidationError):
+        DriftParams(check_interval=MIN_CHECK_INTERVAL / 2)
+    assert DriftParams(check_interval=MIN_CHECK_INTERVAL).check_interval == MIN_CHECK_INTERVAL
 
 
 def test_drift_params_round_trip():

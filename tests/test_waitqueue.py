@@ -1,5 +1,7 @@
 """Tests for the waiting pool: priority formula, dequeue order, reassessment."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,8 @@ def test_priority_weights_validated():
         PriorityWeights(urgency=0.5, acuity=0.2, waiting=0.2, load=0.15)
     with pytest.raises(ValidationError):
         PriorityWeights(wait_horizon=0.0)
+    with pytest.raises(ValidationError):
+        PriorityWeights(wait_horizon=float("nan"))
     with pytest.raises(ValidationError):
         StrategyConfig.from_dict({"weights": {"urgency": 0.45, "bogus": 1}})
     w = PriorityWeights(urgency=0.5, acuity=0.2, waiting=0.2, load=0.1, wait_cap=0.4)
@@ -392,8 +396,20 @@ def test_reassess_refreshes_all_priorities():
                              load_of=loads.__getitem__)
     assert events == []
     for entry in (a, b):
-        expected = priority_score(entry, 30.0, loads[entry.assigned_physician])
-        assert abs(entry.priority - expected) < TOL
+        assert entry.priority == priority_score(entry, 30.0, loads[entry.assigned_physician])
+
+
+def test_outside_escalation_reaches_the_next_sweep():
+    # An escalation applied between sweeps changes the level the next sweep
+    # scores, after the first sweep has already read the entry.
+    q = AdaptiveQueue()
+    e = _entry("P0001", t=0.0, urgency=UrgencyLevel.LOW, acuity=2, physician="GM-1")
+    q.enqueue(e)
+    backend = _backend(NEVER_DRIFT)
+    q.reassess_tick(5.0, backend, {}, memory_enabled=False, load_of=lambda pid: 0.0)
+    q.apply_escalation(e, 7.0, UrgencyLevel.HIGH, CAUSE_DRIFT, "worsened")
+    q.reassess_tick(10.0, backend, {}, memory_enabled=False, load_of=lambda pid: 0.0)
+    assert e.priority == priority_score(e, 10.0, 0.0)
 
 
 def test_reassess_memory_skipped_once_target_reached(dataset42):
@@ -415,3 +431,118 @@ def test_reassess_memory_skipped_once_target_reached(dataset42):
                              load_of=lambda pid: 0.0)
     assert [ev.cause for ev in events] == [CAUSE_DRIFT]
     assert e.current_urgency is UrgencyLevel.CRITICAL
+
+
+# ---------------------------------------------------------------- reference sweep
+
+
+def _reference_tick(queue, now, backend, history, memory_enabled, load_of):
+    """The per-entry sweep the columns replaced: one scalar check at a time."""
+    events = []
+    for entry in queue.entries():
+        escalated_by_memory = False
+        if memory_enabled and entry.memory_available:
+            record = history.get(entry.patient_id)
+            if record is not None and record.escalation_rule.target.rank > entry.current_urgency.rank:
+                rule = backend.assess_history_escalation(entry.patient, record)
+                if rule is not None:
+                    events.append(
+                        queue.apply_escalation(entry, now, rule.target, CAUSE_MEMORY, rule.reason)
+                    )
+                    escalated_by_memory = True
+        if not escalated_by_memory and entry.current_urgency is not UrgencyLevel.CRITICAL:
+            knows_history = memory_enabled and entry.memory_available
+            new_level = backend.assess_drift(entry.current_urgency, knows_history)
+            if new_level is not None:
+                events.append(
+                    queue.apply_escalation(
+                        entry, now, new_level, CAUSE_DRIFT, "deterioration while waiting"
+                    )
+                )
+    for entry in queue.entries():
+        entry.priority = priority_score(
+            entry, now, load_of(entry.assigned_physician), queue.weights
+        )
+    return events
+
+
+def _reference_pop(queue, physician_id=None):
+    """The scan dequeue_next made before the columns; pops through the
+    per-desk path, which keeps that scan, so `queue` never builds columns."""
+    pool = [e for e in queue.entries()
+            if physician_id is None or e.assigned_physician == physician_id]
+    best = min(pool, key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
+    return queue.dequeue_next(best.assigned_physician)
+
+
+DESKS = ("D1", "D2", "D3", "D4")
+
+
+def _random_entry(rng, patient, history, t):
+    level = list(UrgencyLevel)[int(rng.integers(0, 4))]
+    record = history.get(patient.patient_id)
+    if record is not None and rng.random() < 0.5:
+        # A visible record whose target is at or above the entry's level.
+        target = record.escalation_rule.target
+        below = list(UrgencyLevel)[int(rng.integers(0, target.rank + 1))]
+        level = target if rng.random() < 0.3 else below
+    e = _entry(t=t, urgency=level, acuity=int(rng.integers(1, 11)),
+               physician=DESKS[int(rng.integers(0, len(DESKS)))],
+               memory=record is not None, patient=patient)
+    e.priority = float(rng.random())
+    return e
+
+
+@pytest.mark.parametrize("p_history", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("memory_enabled", [True, False])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, seed):
+    # Seeded pools of mixed levels (criticals included), several desks, and
+    # history-visible entries, swept by the column code and by the reference
+    # on twin backends, with enqueues and both kinds of dequeue between
+    # sweeps.  A 1.5x multiplier caps p_medium's history probability at 1.
+    patients, history = dataset42
+    rng = np.random.default_rng(seed)
+    shuffled = [patients[i] for i in rng.permutation(len(patients))]
+    cohort = (
+        [p for p in shuffled if p.patient_id not in history][:60]
+        + [p for p in shuffled if p.patient_id in history][:40]
+    )
+    arrivals = iter(cohort[i] for i in rng.permutation(len(cohort)))
+    params = DriftParams(p_low=0.2, p_medium=0.7, p_high=0.1, history_multiplier=1.5,
+                         p_history_escalation=p_history)
+    fast, ref = AdaptiveQueue(), AdaptiveQueue()
+    fast_backend, ref_backend = _backend(params, seed), _backend(params, seed)
+    t = 0.0
+    n_events = n_memory = 0
+    for tick in range(1, 13):
+        for patient in [next(arrivals, None) for _ in range(int(rng.integers(3, 12)))]:
+            if patient is None:
+                continue
+            t += float(rng.random())
+            e = _random_entry(rng, patient, history, t)
+            fast.enqueue(e)
+            ref.enqueue(copy.deepcopy(e))
+        for _ in range(int(rng.integers(0, 4))):
+            desk = None if rng.random() < 0.7 else DESKS[int(rng.integers(0, len(DESKS)))]
+            if desk is not None and not any(e.assigned_physician == desk for e in ref.entries()):
+                continue
+            if len(ref):
+                assert fast.dequeue_next(desk).patient_id == _reference_pop(ref, desk).patient_id
+        loads = {d: float(x) for d, x in zip(DESKS, rng.uniform(-0.2, 1.2, len(DESKS)))}
+        t = max(t, 5.0 * tick)
+        got = fast.reassess_tick(t, fast_backend, history, memory_enabled, loads.__getitem__)
+        want = _reference_tick(ref, t, ref_backend, history, memory_enabled, loads.__getitem__)
+        assert got == want
+        assert [e.patient_id for e in fast.entries()] == [e.patient_id for e in ref.entries()]
+        for a, b in zip(fast.entries(), ref.entries()):
+            assert (a.current_urgency, a.current_acuity, a.level_entry_time) == (
+                b.current_urgency, b.current_acuity, b.level_entry_time)
+            assert a.priority.hex() == b.priority.hex()
+        assert fast_backend.rng.bit_generator.state == ref_backend.rng.bit_generator.state
+        n_events += len(got)
+        n_memory += sum(ev.cause == CAUSE_MEMORY for ev in got)
+    assert n_events > 0
+    assert (n_memory > 0) == (memory_enabled and p_history > 0)
+    while len(ref):
+        assert fast.dequeue_next().patient_id == _reference_pop(ref).patient_id
