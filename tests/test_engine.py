@@ -55,6 +55,54 @@ GOLDEN_TWIN_ROOM_METRICS = {
     "agentic": "c8e6416e03b8e4e1c9d5f4ab5b7137b739479b7a4ebee7578dee888dc72943e9",
 }
 
+# Registration desks at their edges: a single desk; six desks with exact
+# (std 0) registrations; and a 45-minute session on two exact desks, where
+# registrations finish after closing and later arrivals still find a free
+# desk.  (arm, config) -> (metrics digest, trace digest).
+GOLDEN_DESK_CONFIGS = {
+    "one_desk": dict(registration_desks=1),
+    "six_exact_desks": dict(registration_desks=6, registration_std=0.0),
+    "short_two_exact_desks": dict(session_minutes=45.0, registration_desks=2, registration_std=0.0),
+}
+GOLDEN_DESK_SESSIONS = {
+    ("fcfs", "one_desk"): (
+        "d11de037f2dbfc86e918d96f84d9a0b71fac1ded5a644bac6c005dff7333c343",
+        "da50d763ac95c921a864fd2ae540a33aefffea7307f9431fc7170754da5d3b19",
+    ),
+    ("rule_based", "one_desk"): (
+        "ecdf51a470b17041c2d7de1aaadf5eaa2d514d313523d018ceaf1bbbf0b154c3",
+        "7aaaee8ee1aac9c96670c31f8997f8c570cf47352db931a00bf05ed272ce1351",
+    ),
+    ("agentic", "one_desk"): (
+        "3fd61692a14e06b01a5f3ec95bbaa718589c80cc7f278b643b493f06556e6467",
+        "810329f1a098a454ad372b5b0ba9a3d08566bd883322641866a34cd8fb8062ae",
+    ),
+    ("fcfs", "six_exact_desks"): (
+        "a6cecab2585e11b17e8712e9265d519207486932fb8f29e411fb71ea168ce141",
+        "2427ab12b2a3d55f221056c93f3288ec446b22044f5ad3a84bf88486f51fbd2f",
+    ),
+    ("rule_based", "six_exact_desks"): (
+        "24bf43bd14e0bd958db0ad2db39500d4ab1e1623b5fb5b98b28cb8e1b4df6e77",
+        "c3880a6535081b95d27baff0308bfc5769edc70edc25db6480921f9567178525",
+    ),
+    ("agentic", "six_exact_desks"): (
+        "bdfee3ab6e2e10f51570022be1a3916bb9e9d13ffc61f9d8e2bb9977708d728c",
+        "188e0e8a88042ecc3fbfd5cd2c5ae5a4e420b12e32eb4c4d881b2593fe4b8e84",
+    ),
+    ("fcfs", "short_two_exact_desks"): (
+        "41b16dc418901c22e1acd8cb555cb422456c165da73fd0e9c12409be62d194e5",
+        "d84882956b9d48856af9ee947478e6c7ea29dd5a4900dbc3f55a979717b1df70",
+    ),
+    ("rule_based", "short_two_exact_desks"): (
+        "831468a56b845867126f47cdcb8ca09f6ca1ce734b562ae29ec86034cc3d5e2f",
+        "368d7b22ca3c0b8495981464022623cadf9bb0829952811241a0c43fd34911f6",
+    ),
+    ("agentic", "short_two_exact_desks"): (
+        "ef65d798fcd10b093de207246ceaa5e293b1bb2a68c399f1c4c9bf88e8461b41",
+        "d443b8dc397ba1b0d454fb9f2e05de2201702d9218d420f497af268a9203e98a",
+    ),
+}
+
 TRACE_FIELDS = ["time", "event", "patient_id", "physician_id", "detail"]
 TRACE_EVENTS = {"arrival", "reg_done", "enqueue", "escalation", "consult_start", "consult_end"}
 
@@ -244,6 +292,16 @@ def test_golden_twin_room_session(dataset42, strategy):
     res = run_session(patients, history, StrategyConfig(strategy=strategy),
                       seed=GOLDEN_SEED, roster=roster)
     assert _metrics_hash(res.metrics) == GOLDEN_TWIN_ROOM_METRICS[strategy]
+
+
+@pytest.mark.parametrize("strategy, desks", sorted(GOLDEN_DESK_SESSIONS))
+def test_golden_registration_desk_session(dataset42, strategy, desks):
+    patients, history = dataset42
+    cfg = StrategyConfig(strategy=strategy, **GOLDEN_DESK_CONFIGS[desks])
+    res = run_session(patients, history, cfg, seed=GOLDEN_SEED, collect_trace=True)
+    assert (_metrics_hash(res.metrics), _trace_hash(res.trace)) == GOLDEN_DESK_SESSIONS[
+        (strategy, desks)
+    ]
 
 
 @pytest.mark.parametrize("strategy", ["fcfs", "rule_based"])
