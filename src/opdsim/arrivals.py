@@ -9,6 +9,7 @@ patients while inter-arrival statistics stay Poisson.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class IntensityProfile:
             raise ValidationError("intensity must be non-negative")
         if max(rates) <= 0:
             raise ValidationError("intensity must be positive somewhere")
+        # Derived once; the dataclass is frozen, so they bypass its __setattr__.
+        object.__setattr__(self, "lambda_max", max(rates))
+        object.__setattr__(self, "_times", np.array(times))
+        object.__setattr__(self, "_rates", np.array(rates))
 
     @property
     def start_time(self) -> float:
@@ -50,28 +55,21 @@ class IntensityProfile:
     def end_time(self) -> float:
         return self.breakpoints[-1][0]
 
-    @property
-    def lambda_max(self) -> float:
-        return max(r for _, r in self.breakpoints)
-
     def rate(self, t) -> float | np.ndarray:
         """λ(t); vectorised over array input.  Zero outside the profile span."""
-        times = np.array([x for x, _ in self.breakpoints])
-        rates = np.array([r for _, r in self.breakpoints])
-        return np.interp(t, times, rates, left=0.0, right=0.0)
+        return np.interp(t, self._times, self._rates, left=0.0, right=0.0)
 
     def integral(self) -> float:
         """Expected arrival count over the whole span (trapezoid, exact for
         piecewise-linear rates)."""
-        times = np.array([x for x, _ in self.breakpoints])
-        rates = np.array([r for _, r in self.breakpoints])
-        return float(np.trapezoid(rates, times))
+        return float(np.trapezoid(self._rates, self._times))
 
     def scaled_to_total(self, total: float) -> "IntensityProfile":
         factor = total / self.integral()
         return IntensityProfile(tuple((t, r * factor) for t, r in self.breakpoints))
 
 
+@functools.cache
 def default_profile(total: int = N_PATIENTS) -> IntensityProfile:
     shape = IntensityProfile(DEFAULT_SHAPE)
     return shape.scaled_to_total(total)
@@ -97,13 +95,14 @@ def sample_poisson_process(profile: IntensityProfile, seed_or_rng) -> np.ndarray
     t = t0
     block = max(64, int(lam_max * (t1 - t0) * 1.25) + 32)
     while t < t1:
-        gaps = rng.exponential(1.0 / lam_max, size=block)
-        ts = t + np.cumsum(gaps)
+        ts = np.cumsum(rng.exponential(1.0 / lam_max, size=block))
+        ts += t
         chunks.append(ts)
         t = float(ts[-1])
         block = 64
-    candidates = np.concatenate(chunks)
-    candidates = candidates[candidates < t1]
+    candidates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    # Gaps are non-negative, so the candidates are sorted.
+    candidates = candidates[: np.searchsorted(candidates, t1)]
 
     u = rng.random(candidates.size)
     keep = u < profile.rate(candidates) / lam_max

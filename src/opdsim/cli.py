@@ -31,6 +31,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .assignment import Physician, default_roster
 from .engine import ABLATION_VARIANTS, SessionMetrics, Strategy, StrategyConfig, run_session
 from .errors import ValidationError
@@ -165,7 +167,8 @@ def build_manifest(
     `compat_hash` covers everything two directories must share for a paired
     comparison to be meaningful: cohort, roster, seed ladder and code version
     — but not the strategy config (comparing strategies is the whole point)
-    and not the wall-clock timestamp.
+    and not the wall-clock timestamp.  NumPy does not promise the same
+    random streams across releases, so its version is recorded beside it.
     """
     seeds = list(range(base_seed, base_seed + n_runs))
     roster_fp = _sha256(_canonical_json(_roster_rows(roster)))
@@ -188,6 +191,8 @@ def build_manifest(
         "n_runs": n_runs,
         "seeds": seeds,
         "compat_hash": compat,
+        "numpy_version": np.__version__,
+        "bit_generator": type(np.random.default_rng(0).bit_generator).__name__,
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
     }
 
@@ -400,6 +405,10 @@ def cmd_compare(args) -> int:
             "manifest mismatch: directories were built from different cohorts, "
             "rosters, seed ladders or code versions"
         )
+    for field in ("numpy_version", "bit_generator"):
+        a, b = (m.get(field) for m in manifests)
+        if a is not None and b is not None and a != b:
+            raise ValidationError(f"{field} mismatch: {a} vs {b}; the random streams may differ")
     key = {"critical-wait": "critical", "overall-wait": "overall"}[args.metric]
     sample_a = [w for run in waits[0][key] for w in run]
     sample_b = [w for run in waits[1][key] for w in run]

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import heapq
 import itertools
-from collections import deque
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,13 +57,10 @@ CONSULT_PARAMS = {
 }
 CONSULT_MIN = 1.0
 
-# Same-timestamp precedence: finish consults first so freed desks are visible,
-# then reassess, complete registrations, admit arrivals, and dispatch last.
+# Same-timestamp precedence on the event heap: finish consults first so freed
+# desks are visible, then reassess.  `_Session.run` merges in the rest.
 _EVT_CONSULT_END = 0
 _EVT_REASSESS = 1
-_EVT_REG_DONE = 2
-_EVT_ARRIVAL = 3
-_EVT_DISPATCH = 4
 
 # RNG purpose streams within one run's seed.
 _STREAM_ARRIVALS = 0
@@ -212,14 +210,47 @@ def _stream(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
-def _positive_normal(rng: np.random.Generator, mean: float, std: float, floor: float) -> float:
-    """Normal draw resampled until it clears the floor (service times)."""
+def _normals(rng: np.random.Generator):
+    """Standard normals drawn 256 at a time, equal in value and order to scalar
+    draws.  Only service times read these streams, so leftovers are harmless."""
+    while True:
+        yield from rng.standard_normal(256).tolist()
+
+
+def _positive_normal(z, mean: float, std: float, floor: float) -> float:
+    """Normal draw resampled until it clears the floor (service times).
+    `mean + std * z` is what `Generator.normal(mean, std)` makes of the same z."""
     if std == 0:
         return max(mean, floor)
     while True:
-        x = float(rng.normal(mean, std))
+        x = mean + std * next(z)
         if x >= floor:
             return x
+
+
+def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfig):
+    """The registration desks, run ahead of the event loop.  Nothing downstream
+    feeds back into them, so they are the multi-server FIFO recursion of Kiefer
+    & Wolfowitz (1955) over `arrivals`, (time, patient) in arrival order: each
+    patient takes the desk that frees first, at once if it is free at their
+    arrival (even after closing), and nobody waits for a desk that frees at or
+    after closing.  Registrations start, and draw their durations, in arrival
+    order.  Returns every started registration as (done time, patient) in
+    (time, start order), and the number of patients who never reached a desk."""
+    draw = functools.partial(
+        _positive_normal, _normals(rng), config.registration_mean, config.registration_std, REG_MIN
+    )
+    free_at = [-math.inf] * config.registration_desks  # heap of the times desks free up
+    started, unregistered = [], 0
+    for t, patient in arrivals:
+        if t < free_at[0] and free_at[0] >= config.session_minutes:
+            unregistered += 1
+            continue
+        end = max(t, free_at[0]) + draw()
+        heapq.heapreplace(free_at, end)
+        started.append((end, len(started), patient))
+    started.sort()
+    return [(end, patient) for end, _, patient in started], unregistered
 
 
 class _Session:
@@ -233,17 +264,15 @@ class _Session:
         self.backend = backend
         self.collect_trace = collect_trace
 
-        self.rng_reg = _stream(seed, _STREAM_REGISTRATION)
-        self.rng_consult = _stream(seed, _STREAM_CONSULT)
+        self.consult_z = _normals(_stream(seed, _STREAM_CONSULT))
 
         self.queue = AdaptiveQueue(config.weights)
-        self.reg_queue: deque[Patient] = deque()
         self.late_registrations = 0
-        self.free_desks = config.registration_desks
         self.rr_cursor = 0
 
-        self.heap: list = []
+        self.heap: list = []  # consult ends and reassessment ticks
         self._seq = itertools.count()
+        self.dispatch_due = False
 
         self.served: list[ServedVisit] = []
         self.escalations: list[EscalationEvent] = []
@@ -274,23 +303,8 @@ class _Session:
 
     def on_arrival(self, t: float, patient: Patient):
         self.record(t, "arrival", patient.patient_id)
-        if self.free_desks > 0:
-            self._start_registration(t, patient)
-        else:
-            self.reg_queue.append(patient)
-
-    def _start_registration(self, t: float, patient: Patient):
-        self.free_desks -= 1
-        dur = _positive_normal(
-            self.rng_reg, self.config.registration_mean, self.config.registration_std, REG_MIN
-        )
-        self.push(t + dur, _EVT_REG_DONE, patient)
 
     def on_reg_done(self, t: float, patient: Patient):
-        self.free_desks += 1
-        # Desks stop taking new registrations at closing time.
-        if self.reg_queue and t < self.config.session_minutes:
-            self._start_registration(t, self.reg_queue.popleft())
         if t >= self.config.session_minutes:
             self.late_registrations += 1  # too late to join the consult queue
             return
@@ -319,9 +333,9 @@ class _Session:
             entry.priority = float(urgency.rank)
         self.queue.enqueue(entry)
         self.record(t, "enqueue", patient.patient_id, physician.physician_id)
-        self.push(t, _EVT_DISPATCH)
+        self.dispatch_due = True
 
-    def on_reassess(self, t: float, _payload):
+    def on_reassess(self, t: float, desk_events_ahead: bool):
         events = self.queue.reassess_tick(
             t,
             self.backend,
@@ -333,14 +347,15 @@ class _Session:
             self.escalations.append(ev)
             self.record(t, "escalation", ev.patient_id, detail=f"{ev.from_level.value}->{ev.to_level.value}:{ev.cause}")
         if events:
-            self.push(t, _EVT_DISPATCH)
+            self.dispatch_due = True
         # With nothing else pending no patient can join the pool, so later
         # ticks would only sweep an empty one.
         nxt = t + self.config.drift.check_interval
-        if self.heap and nxt <= self.config.session_minutes:
+        pending = self.heap or self.dispatch_due or desk_events_ahead
+        if pending and nxt <= self.config.session_minutes:
             self.push(nxt, _EVT_REASSESS)
 
-    def on_dispatch(self, t: float, _payload):
+    def on_dispatch(self, t: float):
         if t >= self.config.session_minutes:
             return
         # FCFS and rule-based patients wait at the desk they were assigned to
@@ -360,7 +375,7 @@ class _Session:
     def _start_consult(self, t: float, physician: Physician, entry: QueueEntry):
         physician.status = PhysicianStatus.BUSY
         mean, std = CONSULT_PARAMS[entry.current_urgency]
-        dur = _positive_normal(self.rng_consult, mean, std, CONSULT_MIN)
+        dur = _positive_normal(self.consult_z, mean, std, CONSULT_MIN)
         visit = ServedVisit(
             patient_id=entry.patient_id,
             face_urgency=entry.face_urgency,
@@ -381,17 +396,18 @@ class _Session:
         physician.status = PhysicianStatus.IDLE
         physician.served_count += 1
         self.record(t, "consult_end", physician_id=physician.physician_id)
-        self.push(t, _EVT_DISPATCH)
+        self.dispatch_due = True
 
     # -- main loop --------------------------------------------------------
 
     def run(self):
-        rng_arr = _stream(self.seed, _STREAM_ARRIVALS)
-        rng_pair = _stream(self.seed, _STREAM_PAIRING)
-        times = sample_arrivals(default_profile(len(self.patients)), len(self.patients), rng_arr)
-        order = rng_pair.permutation(len(self.patients))
-        for i in range(len(self.patients)):
-            self.push(float(times[i]), _EVT_ARRIVAL, self.patients[int(order[i])])
+        n = len(self.patients)
+        times = sample_arrivals(default_profile(n), n, _stream(self.seed, _STREAM_ARRIVALS))
+        order = _stream(self.seed, _STREAM_PAIRING).permutation(n)
+        arrivals = [(t, self.patients[i]) for t, i in zip(times.tolist(), order.tolist())]
+        regs, self.unregistered = registration_stage(
+            arrivals, _stream(self.seed, _STREAM_REGISTRATION), self.config
+        )
 
         # The reassessment loop exists only when drift monitoring is on;
         # memory escalation rides inside it, so memory alone (drift off)
@@ -400,18 +416,33 @@ class _Session:
         if self.config.drift_enabled and first <= self.config.session_minutes:
             self.push(first, _EVT_REASSESS)
 
-        # Indexed by precedence.  Bound here, not at class level, so that
-        # handlers patched on the class are the ones that run.
-        handlers = (
-            self.on_consult_end,
-            self.on_reassess,
-            self.on_reg_done,
-            self.on_arrival,
-            self.on_dispatch,
-        )
-        while self.heap:
-            t, precedence, _seq, payload = heapq.heappop(self.heap)
-            handlers[precedence](t, payload)
+        # Merge three time-ordered sources; at equal t the heap's events come
+        # first, then registrations done, then arrivals.  Dispatch runs once,
+        # after the last event at an instant that asked for it.
+        heap = self.heap
+        regs = [(math.inf, None), *reversed(regs)]  # both taken from the end
+        arrivals = [(math.inf, None), *reversed(arrivals)]
+        t = -math.inf
+        while True:
+            t_reg, t_arr = regs[-1][0], arrivals[-1][0]
+            t_heap = heap[0][0] if heap else math.inf
+            if self.dispatch_due and t < min(t_heap, t_reg, t_arr):
+                self.dispatch_due = False
+                self.on_dispatch(t)
+            elif t_heap <= t_reg and t_heap <= t_arr:
+                if t_heap == math.inf:
+                    break
+                t, kind, _seq, payload = heapq.heappop(heap)
+                if kind == _EVT_CONSULT_END:
+                    self.on_consult_end(t, payload)
+                else:
+                    self.on_reassess(t, min(t_reg, t_arr) < math.inf)
+            elif t_reg <= t_arr:
+                t, patient = regs.pop()
+                self.on_reg_done(t, patient)
+            else:
+                t, patient = arrivals.pop()
+                self.on_arrival(t, patient)
 
         return self._finish()
 
@@ -425,7 +456,7 @@ class _Session:
         waiting = self.queue.entries()
         # Every patient ends served, pooled, unregistered, or registered
         # after closing.
-        accounted = len(served) + len(waiting) + len(self.reg_queue) + self.late_registrations
+        accounted = len(served) + len(waiting) + self.unregistered + self.late_registrations
         if accounted != n or len(served_ids) != len(served):
             raise ValidationError(f"patient accounting is inconsistent: {accounted} of {n}")
 

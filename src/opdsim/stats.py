@@ -98,8 +98,9 @@ def t_cdf(t: float, df: float) -> float:
 
 
 def t_sf_two_sided(t: float, df: float) -> float:
-    """Two-sided p-value for a t statistic."""
-    return 2.0 * (1.0 - t_cdf(abs(t), df))
+    """Two-sided p-value for a t statistic: I_x(df/2, 1/2), which is both tails
+    and so does not cancel to 0 the way 1 - t_cdf does far out."""
+    return betainc_regularized(df / 2.0, 0.5, df / (df + t * t))
 
 
 @dataclass

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from opdsim.cli import main
@@ -236,6 +237,25 @@ def test_compare_refuses_different_protocols(tmp_path, capsys):
     _experiment(db, strategy="agentic", runs=2, base_seed=2000)
     assert main(["compare", str(da), str(db)]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_compare_refuses_a_different_random_stream(tmp_path, capsys):
+    # NumPy does not promise the same streams across releases, so two
+    # directories that record different versions or bit generators are not
+    # compared; directories written before these fields existed still are.
+    da, db = tmp_path / "a", tmp_path / "b"
+    _experiment(da, strategy="fcfs", runs=2)
+    _experiment(db, strategy="agentic", runs=2)
+    manifest_b = json.loads((db / "manifest.json").read_text())
+    assert manifest_b["numpy_version"] == np.__version__
+    assert manifest_b["bit_generator"] == "PCG64"
+    for field, other in (("numpy_version", "0.0.0"), ("bit_generator", "MT19937")):
+        (db / "manifest.json").write_text(json.dumps(dict(manifest_b, **{field: other})))
+        assert main(["compare", str(da), str(db)]) == 3
+        assert f"{field} mismatch" in capsys.readouterr().err
+    older = {k: v for k, v in manifest_b.items() if k not in ("numpy_version", "bit_generator")}
+    (db / "manifest.json").write_text(json.dumps(older))
+    assert main(["compare", str(da), str(db)]) == 0
 
 
 # ---------------------------------------------------------------- ablation

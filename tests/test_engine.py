@@ -168,14 +168,13 @@ def test_lost_patient_fails_accounting(dataset42, monkeypatch):
     # A patient who arrives but is never registered, queued or served must
     # not slip through: the engine checks exact conservation itself.
     patients, history = dataset42
-    lost = patients[0].patient_id
-    on_arrival = engine._Session.on_arrival
+    stage = engine.registration_stage
 
-    def drop_one(self, t, patient):
-        if patient.patient_id != lost:
-            on_arrival(self, t, patient)
+    def drop_first(*args):
+        done, unregistered = stage(*args)
+        return done[1:], unregistered
 
-    monkeypatch.setattr(engine._Session, "on_arrival", drop_one)
+    monkeypatch.setattr(engine, "registration_stage", drop_first)
     with pytest.raises(ValidationError, match="accounting"):
         run_session(patients, history, StrategyConfig(strategy="fcfs"), seed=1)
 
@@ -418,9 +417,9 @@ def test_reassessment_ticks_stop_when_nothing_is_pending(dataset42, monkeypatch)
     ticks = []
     on_reassess = engine._Session.on_reassess
 
-    def counting(self, t, payload):
+    def counting(self, t, desk_events_ahead):
         ticks.append(t)
-        on_reassess(self, t, payload)
+        on_reassess(self, t, desk_events_ahead)
 
     monkeypatch.setattr(engine._Session, "on_reassess", counting)
     cfg = StrategyConfig(strategy="agentic", session_minutes=1e6)

@@ -118,6 +118,17 @@ def test_two_sided_p_symmetry():
     assert abs(t_sf_two_sided(0.0, 9) - 1.0) < 1e-12
 
 
+def test_two_sided_p_keeps_its_far_tail():
+    # 2 * (1 - cdf) cancels to exactly 0 from t = 12 at df 58.
+    for t in (12.0, 15.0, 25.0):
+        ours = t_sf_two_sided(t, 58.0)
+        assert ours > 0.0
+        assert ours == pytest.approx(2.0 * scipy.stats.t.sf(t, 58.0), rel=1e-12, abs=0.0)
+    assert t_sf_two_sided(math.inf, 58.0) == 0.0
+    with pytest.raises(ValidationError):
+        t_sf_two_sided(1.0, 0.0)
+
+
 def test_betainc_matches_scipy_on_grid():
     for a in (0.5, 1.0, 2.5, 10.0):
         for b in (0.5, 1.0, 3.0):
