@@ -37,7 +37,6 @@ class Physician:
     specialty: Specialty
     status: PhysicianStatus = PhysicianStatus.IDLE
     queue_length: int = 0
-    served_count: int = 0
 
 
 def default_roster() -> list[Physician]:

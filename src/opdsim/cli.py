@@ -138,6 +138,9 @@ def _load_roster(path: str | None) -> list[Physician]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: bad roster row {row!r} ({exc})") from exc
+    ids = [p.physician_id for p in roster]
+    if not all(type(i) is str and i for i in ids) or len(set(ids)) != len(ids):
+        raise ValidationError(f"{path}: roster ids must be unique non-empty strings, got {ids!r}")
     return roster
 
 

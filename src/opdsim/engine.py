@@ -13,6 +13,7 @@ given seed and configuration.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import functools
@@ -27,6 +28,7 @@ from .arrivals import default_profile, sample_arrivals
 from .assignment import Physician, PhysicianStatus, assign, default_roster
 from .errors import ValidationError, require_number
 from .patients import HistoryRecord, N_PATIENTS, Patient, UrgencyLevel
+from .patients import seeded_stream as _stream
 from .triage import CalibratedTriageBackend, DriftParams
 from .waitqueue import (
     AdaptiveQueue,
@@ -204,10 +206,6 @@ class SessionResult:
     escalations: list[EscalationEvent]
     served: list[ServedVisit]
     trace: list[dict] = field(default_factory=list)
-
-
-def _stream(seed: int, k: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
 def _normals(rng: np.random.Generator):
@@ -394,7 +392,6 @@ class _Session:
 
     def on_consult_end(self, t: float, physician: Physician):
         physician.status = PhysicianStatus.IDLE
-        physician.served_count += 1
         self.record(t, "consult_end", physician_id=physician.physician_id)
         self.dispatch_due = True
 
@@ -460,45 +457,29 @@ class _Session:
         if accounted != n or len(served_ids) != len(served):
             raise ValidationError(f"patient accounting is inconsistent: {accounted} of {n}")
 
-        # Each patient's final level: at consult if served, current if still
-        # waiting, else as presented.
-        final = {p.patient_id: p.face_urgency for p in self.patients}
-        final.update((v.patient_id, v.effective_urgency) for v in served)
-        final.update((e.patient_id, e.current_urgency) for e in waiting)
-        composition = {lvl.value: 0 for lvl in UrgencyLevel}
-        for lvl in final.values():
-            composition[lvl.value] += 1
-        if sum(composition.values()) != n:
-            raise ValidationError("composition does not cover the cohort")
-
+        # One entry per visit, in consult-start order.  Each per-level figure
+        # takes its visits by mask, so np.mean sums them in that order.
         reg_waits = np.array([v.wait_from_registration for v in served])
+        level_waits = np.array([v.wait_from_level_entry for v in served])
+        face = np.array([v.face_urgency.rank for v in served], dtype=np.intp)
+        effective = np.array([v.effective_urgency.rank for v in served], dtype=np.intp)
+        crit_waits = level_waits[effective == UrgencyLevel.CRITICAL.rank]
+
+        # Each patient's final rank: at consult if served, current if still
+        # waiting, else as presented.
+        final = {p.patient_id: p.face_urgency.rank for p in self.patients}
+        final.update(zip((v.patient_id for v in served), effective.tolist()))
+        final.update((e.patient_id, e.current_urgency.rank) for e in waiting)
+        counts = np.bincount(list(final.values()), minlength=len(UrgencyLevel)).tolist()
+        if sum(counts) != n:
+            raise ValidationError("composition does not cover the cohort")
+        composition = {lvl.value: counts[lvl.rank] for lvl in UrgencyLevel}
 
         def _mean(x) -> float | None:
             return float(np.mean(x)) if len(x) else None
 
-        wait_by_face = {}
-        for lvl in UrgencyLevel:
-            xs = [v.wait_from_registration for v in served if v.face_urgency is lvl]
-            wait_by_face[lvl.value] = _mean(xs)
-
-        wait_by_effective = {}
-        for lvl in UrgencyLevel:
-            xs = [v.wait_from_level_entry for v in served if v.effective_urgency is lvl]
-            wait_by_effective[lvl.value] = _mean(xs)
-
-        crit_waits = [
-            v.wait_from_level_entry for v in served if v.effective_urgency is UrgencyLevel.CRITICAL
-        ]
-        pct10 = pct15 = None
-        if crit_waits:
-            pct10 = 100.0 * sum(1 for w in crit_waits if w < WITHIN_CRITICAL_FAST) / len(crit_waits)
-            pct15 = 100.0 * sum(1 for w in crit_waits if w < WITHIN_CRITICAL_OK) / len(crit_waits)
-
-        drift_n = sum(1 for e in self.escalations if e.cause == CAUSE_DRIFT)
-        memory_n = sum(1 for e in self.escalations if e.cause == CAUSE_MEMORY)
-
-        matches = [v for v in served if v.specialty_matched]
-
+        causes = collections.Counter(e.cause for e in self.escalations)
+        per_physician = collections.Counter(v.physician_id for v in served)
         metrics = SessionMetrics(
             strategy=cfg.strategy.value,
             seed=self.seed,
@@ -509,19 +490,22 @@ class _Session:
             avg_wait=_mean(reg_waits),
             median_wait=float(np.median(reg_waits)) if len(reg_waits) else None,
             p95_wait=float(np.percentile(reg_waits, 95)) if len(reg_waits) else None,
-            wait_by_face=wait_by_face,
-            wait_by_effective=wait_by_effective,
+            wait_by_face={lvl.value: _mean(reg_waits[face == lvl.rank]) for lvl in UrgencyLevel},
+            wait_by_effective={
+                lvl.value: _mean(level_waits[effective == lvl.rank]) for lvl in UrgencyLevel
+            },
             critical_wait_mean=_mean(crit_waits),
-            pct_critical_within_10=pct10,
-            pct_critical_within_15=pct15,
+            # A percentage is the mean of 100s and 0s: exactly 100.0 * k / n.
+            pct_critical_within_10=_mean(100.0 * (crit_waits < WITHIN_CRITICAL_FAST)),
+            pct_critical_within_15=_mean(100.0 * (crit_waits < WITHIN_CRITICAL_OK)),
             critical_served=len(crit_waits),
             critical_effective_count=composition[UrgencyLevel.CRITICAL.value],
-            drift_event_count=drift_n,
-            memory_escalation_count=memory_n,
-            escalation_count=drift_n + memory_n,
+            drift_event_count=causes[CAUSE_DRIFT],
+            memory_escalation_count=causes[CAUSE_MEMORY],
+            escalation_count=causes[CAUSE_DRIFT] + causes[CAUSE_MEMORY],
             final_composition=composition,
-            specialty_match_rate=(len(matches) / len(served)) if served else None,
-            per_physician_served={p.physician_id: p.served_count for p in self.roster},
+            specialty_match_rate=_mean([v.specialty_matched for v in served]),
+            per_physician_served={pid: per_physician[pid] for pid in self.by_id},
         )
         return SessionResult(
             metrics=metrics, escalations=self.escalations, served=served, trace=self.trace
@@ -541,11 +525,13 @@ def run_session(
     if len(patients) != N_PATIENTS:
         raise ValidationError(f"expected the {N_PATIENTS}-patient cohort, got {len(patients)}")
     roster = [
-        dataclasses.replace(p, status=PhysicianStatus.IDLE, queue_length=0, served_count=0)
+        dataclasses.replace(p, status=PhysicianStatus.IDLE, queue_length=0)
         for p in (roster or default_roster())
     ]
     if not roster:
         raise ValidationError("empty roster")
+    if len({p.physician_id for p in roster}) != len(roster):
+        raise ValidationError("physician ids must be unique")
     backend = CalibratedTriageBackend(_stream(seed, _STREAM_BACKEND), config.drift)
     return _Session(patients, history, config, seed, roster, backend, collect_trace).run()
 

@@ -10,6 +10,7 @@ account, plus the clinical reason.
 
 from __future__ import annotations
 
+import collections
 import json
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -29,44 +30,25 @@ _STREAM_HISTORY = 1
 
 
 class UrgencyLevel(Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-    CRITICAL = "critical"
+    """Urgency grades, declared in rank order.  A member's value is its name
+    as JSON holds it; `rank` orders the grades and `u_score` is the urgency
+    term of the dequeue priority."""
 
-    @property
-    def rank(self) -> int:
-        return _URGENCY_RANK[self]
+    LOW = ("low", 0, 0.25)
+    MEDIUM = ("medium", 1, 0.50)
+    HIGH = ("high", 2, 0.75)
+    CRITICAL = ("critical", 3, 1.0)
 
-    @property
-    def u_score(self) -> float:
-        return _U_SCORE[self]
+    def __new__(cls, value: str, rank: int, u_score: float):
+        member = object.__new__(cls)
+        member._value_, member.rank, member.u_score = value, rank, u_score
+        return member
 
     def next_higher(self) -> "UrgencyLevel":
         if self is UrgencyLevel.CRITICAL:
             raise ValueError("critical has no higher level")
-        return _URGENCY_ORDER[self.rank + 1]
+        return list(UrgencyLevel)[self.rank + 1]
 
-    def __lt__(self, other: "UrgencyLevel") -> bool:
-        return self.rank < other.rank
-
-    def __le__(self, other: "UrgencyLevel") -> bool:
-        return self.rank <= other.rank
-
-
-_URGENCY_ORDER = [
-    UrgencyLevel.LOW,
-    UrgencyLevel.MEDIUM,
-    UrgencyLevel.HIGH,
-    UrgencyLevel.CRITICAL,
-]
-_URGENCY_RANK = {u: i for i, u in enumerate(_URGENCY_ORDER)}
-_U_SCORE = {
-    UrgencyLevel.CRITICAL: 1.0,
-    UrgencyLevel.HIGH: 0.75,
-    UrgencyLevel.MEDIUM: 0.50,
-    UrgencyLevel.LOW: 0.25,
-}
 
 # Acuity (1-10) bands per urgency grade, and the band value applied when a
 # patient is escalated into a grade mid-session.
@@ -407,20 +389,20 @@ class Patient:
     def from_dict(d: dict) -> "Patient":
         try:
             return Patient(
-                patient_id=str(d["patient_id"]),
-                age=int(d["age"]),
-                age_band=AgeBand(d["age_band"]),
-                gender=str(d["gender"]),
-                locality=str(d["locality"]),
-                language=str(d["language"]),
-                payment=str(d["payment"]),
-                complaint=str(d["complaint"]),
-                face_urgency=UrgencyLevel(d["face_urgency"]),
-                face_acuity=int(d["face_acuity"]),
-                required_specialty=Specialty(d["required_specialty"]),
-                has_history=bool(d["has_history"]),
+                patient_id=_typed(d, "patient_id", str),
+                age=_typed(d, "age", int),
+                age_band=AgeBand(_typed(d, "age_band", str)),
+                gender=_typed(d, "gender", str),
+                locality=_typed(d, "locality", str),
+                language=_typed(d, "language", str),
+                payment=_typed(d, "payment", str),
+                complaint=_typed(d, "complaint", str),
+                face_urgency=UrgencyLevel(_typed(d, "face_urgency", str)),
+                face_acuity=_typed(d, "face_acuity", int),
+                required_specialty=Specialty(_typed(d, "required_specialty", str)),
+                has_history=_typed(d, "has_history", bool),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad patient entry: {exc}") from exc
 
 
@@ -431,7 +413,7 @@ class EscalationRule:
 
     @staticmethod
     def from_dict(d: dict) -> "EscalationRule":
-        return EscalationRule(UrgencyLevel(d["target"]), str(d["reason"]))
+        return EscalationRule(UrgencyLevel(_typed(d, "target", str)), _typed(d, "reason", str))
 
 
 @dataclass
@@ -446,18 +428,36 @@ class HistoryRecord:
     def from_dict(d: dict) -> "HistoryRecord":
         try:
             return HistoryRecord(
-                patient_id=str(d["patient_id"]),
-                conditions=[str(c) for c in d["conditions"]],
-                medications=[str(m) for m in d["medications"]],
-                allergies=[str(a) for a in d["allergies"]],
+                patient_id=_typed(d, "patient_id", str),
+                conditions=_strings(d, "conditions"),
+                medications=_strings(d, "medications"),
+                allergies=_strings(d, "allergies"),
                 escalation_rule=EscalationRule.from_dict(d["escalation_rule"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad history entry: {exc}") from exc
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+def _typed(d: dict, key: str, kind: type):
+    """`d[key]` if its JSON type is `kind`.  Nothing is coerced: a bool is not
+    an int, and a string is not a list."""
+    value = d[key]
+    if type(value) is not kind:
+        raise ValidationError(f"{key} must be a JSON {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _strings(d: dict, key: str) -> list[str]:
+    values = _typed(d, key, list)
+    if not all(type(v) is str for v in values):
+        raise ValidationError(f"{key} must be a list of strings")
+    return list(values)
+
+
+def seeded_stream(seed: int, key: int) -> np.random.Generator:
+    """Purpose stream `key` of `seed`: distinct SeedSequence spawn keys give
+    independent streams for one seed."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
 def _apportion(total: int, shares) -> list[int]:
@@ -488,7 +488,7 @@ def generate_dataset(seed: int = 42) -> tuple[list[Patient], dict[str, HistoryRe
     exact for every seed (attribute columns are fixed-count lists shuffled
     independently); only the co-occurrence pattern varies.
     """
-    rng = _rng(seed, _STREAM_PATIENTS)
+    rng = seeded_stream(seed, _STREAM_PATIENTS)
 
     urgency_col: list[UrgencyLevel] = []
     for level, count in URGENCY_COUNTS.items():
@@ -603,7 +603,7 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
     Eligible = non-critical face urgency and non-pediatric age band.  Resets
     and re-marks `has_history` on the given patients.
     """
-    rng = _rng(seed, _STREAM_HISTORY)
+    rng = seeded_stream(seed, _STREAM_HISTORY)
     for p in patients:
         p.has_history = False
 
@@ -702,7 +702,13 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
                 rec.medications.insert(0, m)
         rec.allergies = list(spec["allergies"]) + [a for a in rec.allergies if a not in spec["allergies"]]
 
-    _check_history_invariants(patients, records)
+    if len(records) != N_HISTORY:
+        raise ValidationError(f"history store has {len(records)} records, wanted {N_HISTORY}")
+    _validate_dataset(patients, records)
+    counts = collections.Counter(c for rec in records.values() for c in set(rec.conditions))
+    for cond, want in CONDITION_COUNTS.items():
+        if counts[cond] != want:
+            raise ValidationError(f"condition {cond!r}: {counts[cond]} patients, wanted {want}")
     return records
 
 
@@ -756,24 +762,6 @@ def _deal_conditions(rng, chosen: list[Patient], archetype_hosts) -> dict[str, l
     return conditions
 
 
-def _check_history_invariants(patients: list[Patient], records: dict[str, HistoryRecord]) -> None:
-    if len(records) != N_HISTORY:
-        raise ValidationError(f"history store has {len(records)} records, wanted {N_HISTORY}")
-    by_id = {p.patient_id: p for p in patients}
-    counts: dict[str, int] = {}
-    for rec in records.values():
-        p = by_id[rec.patient_id]
-        if p.face_urgency is UrgencyLevel.CRITICAL:
-            raise ValidationError("history attached to a critical-face patient")
-        if not rec.escalation_rule.target > p.face_urgency:
-            raise ValidationError("escalation target must exceed face urgency")
-        for c in set(rec.conditions):
-            counts[c] = counts.get(c, 0) + 1
-    for cond, want in CONDITION_COUNTS.items():
-        if counts.get(cond, 0) != want:
-            raise ValidationError(f"condition {cond!r}: {counts.get(cond, 0)} patients, wanted {want}")
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -797,8 +785,8 @@ def dataset_to_dict(patients: list[Patient], history: dict[str, HistoryRecord]) 
 
 def dataset_from_dict(d: dict) -> tuple[list[Patient], dict[str, HistoryRecord]]:
     try:
-        raw_patients = d["patients"]
-        raw_history = d["history"]
+        raw_patients = _typed(d, "patients", list)
+        raw_history = _typed(d, "history", dict)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"dataset file missing section: {exc}") from exc
     patients = [Patient.from_dict(x) for x in raw_patients]
@@ -824,7 +812,7 @@ def _validate_dataset(patients: list[Patient], history: dict[str, HistoryRecord]
         p = by_id[pid]
         if p.face_urgency is UrgencyLevel.CRITICAL:
             raise ValidationError(f"{pid}: history on critical-face patient")
-        if not rec.escalation_rule.target > p.face_urgency:
+        if rec.escalation_rule.target.rank <= p.face_urgency.rank:
             raise ValidationError(f"{pid}: escalation target not above face urgency")
     flagged = {p.patient_id for p in patients if p.has_history}
     if flagged != set(history):

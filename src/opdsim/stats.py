@@ -84,22 +84,10 @@ def betainc_regularized(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def t_cdf(t: float, df: float) -> float:
-    """Student-t CDF via the incomplete beta."""
-    if df <= 0:
-        raise ValidationError("degrees of freedom must be positive")
-    if math.isinf(t):
-        return 1.0 if t > 0 else 0.0
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * betainc_regularized(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
-
-
 def t_sf_two_sided(t: float, df: float) -> float:
-    """Two-sided p-value for a t statistic: I_x(df/2, 1/2), which is both tails
-    and so does not cancel to 0 the way 1 - t_cdf does far out."""
+    """Two-sided p-value for a t statistic: I_x(df/2, 1/2) with x = df/(df+t²).
+    It is both tails at once, so far out it does not cancel to 0 the way
+    2·(1 − CDF) does."""
     return betainc_regularized(df / 2.0, 0.5, df / (df + t * t))
 
 

@@ -86,7 +86,7 @@ class CalibratedTriageBackend:
         self._drift_table = np.array(
             [
                 [params.drift_probability(level, has_history) for has_history in (False, True)]
-                for level in sorted(UrgencyLevel, key=lambda lvl: lvl.rank)
+                for level in UrgencyLevel
                 if level is not UrgencyLevel.CRITICAL
             ]
         )

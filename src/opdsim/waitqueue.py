@@ -33,7 +33,7 @@ WAIT_TERM_CAP = 0.3
 CAUSE_DRIFT = "drift"
 CAUSE_MEMORY = "memory"
 
-_U_SCORE = np.array([lvl.u_score for lvl in sorted(UrgencyLevel, key=lambda lvl: lvl.rank)])
+_U_SCORE = np.array([lvl.u_score for lvl in UrgencyLevel])
 _CRITICAL = UrgencyLevel.CRITICAL.rank
 # One pool row; see AdaptiveQueue.
 _ROW = np.dtype(
@@ -166,11 +166,10 @@ class AdaptiveQueue:
     Sweeps and pooled dequeues work on columns: one row per entry, in pool
     order, holding its rank, acuity, enqueue time, desk code, memory flag
     and priority.  The columns are built at the first sweep or pooled
-    dequeue and kept in step from then on.  A per-desk dequeue or an outside
-    `apply_escalation` drops them, to be rebuilt at the next use, so the
-    token arms, which only dequeue per desk, never build them.  An entry's
-    `priority` is read when its row is written; after that only sweeps
-    change it.
+    dequeue and kept in step from then on.  A per-desk dequeue drops them,
+    to be rebuilt at the next use, so the token arms, which only dequeue per
+    desk, never build them.  An entry's level, acuity and `priority` are
+    read when its row is written; after that only sweeps change them.
     """
 
     def __init__(self, weights: PriorityWeights | None = None):
@@ -240,12 +239,6 @@ class AdaptiveQueue:
             i = min(tied.tolist(), key=lambda j: (rows[j].enqueue_time, rows[j].patient_id))
         cols[i:-1] = cols[i + 1 :]
         return self._entries.pop(rows.pop(i).patient_id)
-
-    def apply_escalation(
-        self, entry: QueueEntry, now: float, target: UrgencyLevel, cause: str, reason: str
-    ) -> EscalationEvent:
-        self._rows = None  # the entry's rank and acuity change behind the columns
-        return _escalate(entry, now, target, cause, reason)
 
     def reassess_tick(
         self,

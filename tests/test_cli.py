@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from opdsim.cli import main
-from opdsim.patients import dataset_fingerprint, dataset_from_dict
+from opdsim.patients import dataset_fingerprint, dataset_from_dict, dataset_to_dict
 
 GOLDEN_FCFS_SERVED = 252
 GOLDEN_AGENTIC_TRACE = "14058ec0e2267f1336b9d238a23d76f111858517c66bcc4cb20cac09bb88e2e4"
@@ -155,6 +155,54 @@ def test_run_redundant_flags_warn_but_run(capsys):
     captured = capsys.readouterr()
     assert "no reassessment loop" in captured.err
     assert json.loads(captured.out)["drift_event_count"] == 0
+
+
+def _first_patient(d):
+    return d["patients"][0]
+
+
+def _first_record(d):
+    return d["history"][min(d["history"])]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(patients=5),
+        lambda d: d.update(history=[]),
+        lambda d: d["patients"].__setitem__(0, 7),
+        lambda d: _first_patient(d).update(age=[1]),
+        lambda d: _first_patient(d).update(has_history="no"),
+        lambda d: _first_patient(d).update(face_acuity=_first_patient(d)["face_acuity"] + 0.7),
+        lambda d: _first_record(d).update(conditions="abc"),
+    ],
+    ids=["patients-number", "history-list", "patient-row-number", "age-list",
+         "has-history-string", "acuity-float", "conditions-string"],
+)
+def test_run_mistyped_dataset_exits_3(tmp_path, capsys, dataset42, edit):
+    data = json.loads(json.dumps(dataset_to_dict(*dataset42)))
+    edit(data)
+    path = tmp_path / "cohort.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--strategy", "fcfs", "--seed", "1", "--dataset", str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[None, "D2"], [7, "D2"], [["x"], "D2"], ["", "D2"], ["D1", "D1"]],
+    ids=["null", "number", "list", "empty", "duplicate"],
+)
+def test_run_bad_roster_ids_exit_3(tmp_path, capsys, ids):
+    path = tmp_path / "roster.json"
+    path.write_text(json.dumps(
+        [{"id": i, "specialty": "general_medicine"} for i in ids]
+        + [{"id": "D3", "specialty": "pediatrics"}]
+    ))
+    for strategy in ("fcfs", "rule_based", "agentic"):
+        argv = ["run", "--strategy", strategy, "--seed", "1", "--roster", str(path)]
+        assert main(argv) == 3, strategy
+        assert "roster ids must be unique non-empty strings" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- experiment

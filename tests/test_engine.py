@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from opdsim import engine
@@ -17,7 +18,7 @@ from opdsim.engine import (
 )
 from opdsim.errors import ValidationError
 from opdsim.assignment import Physician
-from opdsim.patients import N_PATIENTS, Specialty
+from opdsim.patients import N_PATIENTS, Specialty, UrgencyLevel
 from opdsim.triage import DriftParams
 
 STRATEGIES = ("fcfs", "rule_based", "agentic")
@@ -49,6 +50,9 @@ GOLDEN_ABLATION_METRICS = {
 }
 # Ten rooms, two per specialty: per-desk dispatch across twin rooms, and a
 # pool the agentic arm drains while rooms are still idle.
+TWIN_ROOMS = [
+    Physician(f"R{i + 1:02d}", spec) for i, spec in enumerate(s for s in Specialty for _ in range(2))
+]
 GOLDEN_TWIN_ROOM_METRICS = {
     "fcfs": "be0f26efa803b49c742b68c42d9834b91eecda370bd9c498c7d79750d7fb15e3",
     "rule_based": "b8eb157d13489f75ed48f28aad0dca5f3beaa68ffda2296e85d85d8945b87ae6",
@@ -179,6 +183,14 @@ def test_lost_patient_fails_accounting(dataset42, monkeypatch):
         run_session(patients, history, StrategyConfig(strategy="fcfs"), seed=1)
 
 
+def test_duplicate_physician_ids_rejected(dataset42):
+    patients, history = dataset42
+    roster = [Physician("D1", Specialty.GENERAL_MEDICINE), Physician("D1", Specialty.SURGERY)]
+    for strategy in STRATEGIES:
+        with pytest.raises(ValidationError, match="unique"):
+            run_session(patients, history, StrategyConfig(strategy=strategy), 1, roster=roster)
+
+
 def test_unserved_appear_at_face_level(dataset42):
     # A session too short to drain the queue must still account for everyone.
     patients, history = dataset42
@@ -284,12 +296,8 @@ def test_golden_agentic_ablation_session(dataset42, variant):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_golden_twin_room_session(dataset42, strategy):
     patients, history = dataset42
-    roster = [
-        Physician(f"R{i + 1:02d}", spec)
-        for i, spec in enumerate(s for s in Specialty for _ in range(2))
-    ]
     res = run_session(patients, history, StrategyConfig(strategy=strategy),
-                      seed=GOLDEN_SEED, roster=roster)
+                      seed=GOLDEN_SEED, roster=TWIN_ROOMS)
     assert _metrics_hash(res.metrics) == GOLDEN_TWIN_ROOM_METRICS[strategy]
 
 
@@ -465,3 +473,91 @@ def test_metrics_round_trip(dataset42):
     res = run_session(patients, history, StrategyConfig(strategy="fcfs"), seed=1)
     clone = SessionMetrics(**json.loads(json.dumps(res.metrics.to_dict())))
     assert clone == res.metrics
+
+
+# ------------------------------------------------------------ session result
+
+
+def _reference_metrics(res, patients, config, seed, roster):
+    """The session figures as an earlier `_finish` computed them: one Python
+    list per level, and each patient's final level taken as their last
+    escalation's target, else the presenting level."""
+    served = res.served
+    n = len(patients)
+    final = {p.patient_id: p.face_urgency for p in patients}
+    final.update((ev.patient_id, ev.to_level) for ev in res.escalations)
+    composition = {lvl.value: 0 for lvl in UrgencyLevel}
+    for lvl in final.values():
+        composition[lvl.value] += 1
+
+    def _mean(x):
+        return float(np.mean(x)) if len(x) else None
+
+    reg_waits = np.array([v.wait_from_registration for v in served])
+    crit_waits = [
+        v.wait_from_level_entry for v in served if v.effective_urgency is UrgencyLevel.CRITICAL
+    ]
+    pct10 = pct15 = None
+    if crit_waits:
+        pct10 = 100.0 * sum(1 for w in crit_waits if w < 10.0) / len(crit_waits)
+        pct15 = 100.0 * sum(1 for w in crit_waits if w < 15.0) / len(crit_waits)
+    drift_n = sum(1 for e in res.escalations if e.cause == "drift")
+    memory_n = sum(1 for e in res.escalations if e.cause == "memory")
+    matches = [v for v in served if v.specialty_matched]
+    return SessionMetrics(
+        strategy=config.strategy.value,
+        seed=seed,
+        session_minutes=config.session_minutes,
+        served_count=len(served),
+        unserved_count=n - len(served),
+        throughput_per_hour=len(served) / (config.session_minutes / 60.0),
+        avg_wait=_mean(reg_waits),
+        median_wait=float(np.median(reg_waits)) if len(reg_waits) else None,
+        p95_wait=float(np.percentile(reg_waits, 95)) if len(reg_waits) else None,
+        wait_by_face={
+            lvl.value: _mean([v.wait_from_registration for v in served if v.face_urgency is lvl])
+            for lvl in UrgencyLevel
+        },
+        wait_by_effective={
+            lvl.value: _mean(
+                [v.wait_from_level_entry for v in served if v.effective_urgency is lvl]
+            )
+            for lvl in UrgencyLevel
+        },
+        critical_wait_mean=_mean(crit_waits),
+        pct_critical_within_10=pct10,
+        pct_critical_within_15=pct15,
+        critical_served=len(crit_waits),
+        critical_effective_count=composition["critical"],
+        drift_event_count=drift_n,
+        memory_escalation_count=memory_n,
+        escalation_count=drift_n + memory_n,
+        final_composition=composition,
+        specialty_match_rate=(len(matches) / len(served)) if served else None,
+        per_physician_served={
+            p.physician_id: sum(1 for v in served if v.physician_id == p.physician_id)
+            for p in roster
+        },
+    ).to_dict()
+
+
+RESULT_CASES = {
+    "default": ({}, None),
+    "short_two_exact_desks": (
+        dict(session_minutes=45.0, registration_desks=2, registration_std=0.0), None
+    ),
+    "two_minutes": (dict(session_minutes=2.0), None),
+    "twin_rooms": ({}, TWIN_ROOMS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESULT_CASES))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_session_metrics_match_reference(dataset42, strategy, case):
+    patients, history = dataset42
+    overrides, roster = RESULT_CASES[case]
+    config = StrategyConfig(strategy=strategy, **overrides)
+    for seed in (1000, 1001, 1002):
+        res = run_session(patients, history, config, seed, roster=roster)
+        want = _reference_metrics(res, patients, config, seed, roster or engine.default_roster())
+        assert res.metrics.to_dict() == want

@@ -2,6 +2,7 @@
 
 import collections
 import json
+import pickle
 
 import pytest
 
@@ -25,6 +26,20 @@ FACE_COUNTS = {
     UrgencyLevel.MEDIUM: 158,
     UrgencyLevel.LOW: 161,
 }
+
+
+def test_urgency_levels_carry_their_rank_and_score():
+    assert [lvl.value for lvl in UrgencyLevel] == ["low", "medium", "high", "critical"]
+    assert [lvl.rank for lvl in UrgencyLevel] == [0, 1, 2, 3]
+    assert [lvl.u_score for lvl in UrgencyLevel] == [0.25, 0.50, 0.75, 1.0]
+    for lvl in UrgencyLevel:
+        assert UrgencyLevel(lvl.value) is lvl
+        assert pickle.loads(pickle.dumps(lvl)) is lvl
+    assert UrgencyLevel.LOW.next_higher() is UrgencyLevel.MEDIUM
+    with pytest.raises(ValueError):
+        UrgencyLevel.CRITICAL.next_higher()
+    with pytest.raises(ValueError):
+        UrgencyLevel(("low", 0, 0.25))
 
 
 def test_cohort_size_and_face_counts(dataset42):

@@ -21,8 +21,10 @@ from opdsim.waitqueue import (
     CAUSE_DRIFT,
     CAUSE_MEMORY,
     AdaptiveQueue,
+    EscalationEvent,
     PriorityWeights,
     QueueEntry,
+    _escalate,
     priority_score,
 )
 
@@ -179,18 +181,6 @@ def test_dequeue_rule_based_fifo_within_class():
     assert q.dequeue_next().patient_id == "P0002"
 
 
-def test_dequeue_rule_based_ignores_later_escalation():
-    # apply_escalation leaves the rank alone, so a patient escalated after
-    # registration still waits behind a hotter presenter.
-    q = AdaptiveQueue()
-    low = _ranked("P0001", 0.0, float(UrgencyLevel.LOW.rank))
-    q.enqueue(low)
-    q.enqueue(_ranked("P0002", 10.0, float(UrgencyLevel.HIGH.rank)))
-    q.apply_escalation(low, 20.0, UrgencyLevel.CRITICAL, CAUSE_DRIFT, "worsened")
-    assert low.priority == float(UrgencyLevel.LOW.rank)
-    assert q.dequeue_next().patient_id == "P0002"
-
-
 def test_dequeue_agentic_highest_priority_wins():
     q = AdaptiveQueue()
     q.enqueue(_ranked("P0001", 0.0, 0.5))
@@ -233,10 +223,8 @@ def test_dequeue_empty_queue_is_contract_violation():
 
 
 def test_apply_escalation_updates_entry():
-    q = AdaptiveQueue()
     e = _entry("P0001", t=0.0, urgency=UrgencyLevel.LOW, acuity=2)
-    q.enqueue(e)
-    ev = q.apply_escalation(e, 30.0, UrgencyLevel.MEDIUM, CAUSE_DRIFT, "worsened")
+    ev = _escalate(e, 30.0, UrgencyLevel.MEDIUM, CAUSE_DRIFT, "worsened")
     assert ev.from_level is UrgencyLevel.LOW and ev.to_level is UrgencyLevel.MEDIUM
     assert e.current_urgency is UrgencyLevel.MEDIUM
     assert e.current_acuity == ESCALATION_ACUITY[UrgencyLevel.MEDIUM]
@@ -245,13 +233,11 @@ def test_apply_escalation_updates_entry():
 
 
 def test_escalation_log_strictly_increasing():
-    q = AdaptiveQueue()
     e = _entry("P0001", t=0.0, urgency=UrgencyLevel.LOW, acuity=2)
-    q.enqueue(e)
     log = [
-        q.apply_escalation(e, 30.0, UrgencyLevel.MEDIUM, CAUSE_DRIFT, ""),
-        q.apply_escalation(e, 35.0, UrgencyLevel.HIGH, CAUSE_DRIFT, ""),
-        q.apply_escalation(e, 40.0, UrgencyLevel.CRITICAL, CAUSE_MEMORY, ""),
+        _escalate(e, 30.0, UrgencyLevel.MEDIUM, CAUSE_DRIFT, ""),
+        _escalate(e, 35.0, UrgencyLevel.HIGH, CAUSE_DRIFT, ""),
+        _escalate(e, 40.0, UrgencyLevel.CRITICAL, CAUSE_MEMORY, ""),
     ]
     times = [ev.time for ev in log]
     ranks = [ev.to_level.rank for ev in log]
@@ -260,20 +246,18 @@ def test_escalation_log_strictly_increasing():
 
 
 def test_apply_escalation_must_raise_level():
-    q = AdaptiveQueue()
     e = _entry("P0001", t=0.0, urgency=UrgencyLevel.HIGH, acuity=7)
-    q.enqueue(e)
     with pytest.raises(ValidationError):
-        q.apply_escalation(e, 10.0, UrgencyLevel.HIGH, CAUSE_DRIFT, "")
+        _escalate(e, 10.0, UrgencyLevel.HIGH, CAUSE_DRIFT, "")
     with pytest.raises(ValidationError):
-        q.apply_escalation(e, 10.0, UrgencyLevel.MEDIUM, CAUSE_DRIFT, "")
+        _escalate(e, 10.0, UrgencyLevel.MEDIUM, CAUSE_DRIFT, "")
+    assert (e.current_urgency, e.current_acuity, e.level_entry_time) == (
+        UrgencyLevel.HIGH, 7, 0.0)
 
 
 def test_escalation_event_row_format():
     e = _entry("P0001", t=0.0, urgency=UrgencyLevel.LOW, acuity=2)
-    q = AdaptiveQueue()
-    q.enqueue(e)
-    ev = q.apply_escalation(e, 12.345678, UrgencyLevel.MEDIUM, CAUSE_DRIFT, "worsened")
+    ev = _escalate(e, 12.345678, UrgencyLevel.MEDIUM, CAUSE_DRIFT, "worsened")
     row = ev.to_row()
     assert row["time"] == 12.3457
     assert row["from_level"] == "low" and row["to_level"] == "medium"
@@ -399,19 +383,6 @@ def test_reassess_refreshes_all_priorities():
         assert entry.priority == priority_score(entry, 30.0, loads[entry.assigned_physician])
 
 
-def test_outside_escalation_reaches_the_next_sweep():
-    # An escalation applied between sweeps changes the level the next sweep
-    # scores, after the first sweep has already read the entry.
-    q = AdaptiveQueue()
-    e = _entry("P0001", t=0.0, urgency=UrgencyLevel.LOW, acuity=2, physician="GM-1")
-    q.enqueue(e)
-    backend = _backend(NEVER_DRIFT)
-    q.reassess_tick(5.0, backend, {}, memory_enabled=False, load_of=lambda pid: 0.0)
-    q.apply_escalation(e, 7.0, UrgencyLevel.HIGH, CAUSE_DRIFT, "worsened")
-    q.reassess_tick(10.0, backend, {}, memory_enabled=False, load_of=lambda pid: 0.0)
-    assert e.priority == priority_score(e, 10.0, 0.0)
-
-
 def test_reassess_memory_skipped_once_target_reached(dataset42):
     # If the entry already sits at (or above) the record's target level the
     # history rule has nothing to add, so drift is consulted instead.
@@ -436,8 +407,18 @@ def test_reassess_memory_skipped_once_target_reached(dataset42):
 # ---------------------------------------------------------------- reference sweep
 
 
+def _reference_escalate(entry, now, target, cause, reason):
+    event = EscalationEvent(now, entry.patient_id, entry.current_urgency, target, cause, reason)
+    entry.current_urgency = target
+    entry.current_acuity = ESCALATION_ACUITY[target]
+    entry.level_entry_time = now
+    return event
+
+
 def _reference_tick(queue, now, backend, history, memory_enabled, load_of):
-    """The per-entry sweep the columns replaced: one scalar check at a time."""
+    """The per-entry sweep the columns replaced: one scalar check at a time,
+    escalating entries in place behind the queue's back (it never builds
+    columns: `_reference_pop` dequeues per desk)."""
     events = []
     for entry in queue.entries():
         escalated_by_memory = False
@@ -447,7 +428,7 @@ def _reference_tick(queue, now, backend, history, memory_enabled, load_of):
                 rule = backend.assess_history_escalation(entry.patient, record)
                 if rule is not None:
                     events.append(
-                        queue.apply_escalation(entry, now, rule.target, CAUSE_MEMORY, rule.reason)
+                        _reference_escalate(entry, now, rule.target, CAUSE_MEMORY, rule.reason)
                     )
                     escalated_by_memory = True
         if not escalated_by_memory and entry.current_urgency is not UrgencyLevel.CRITICAL:
@@ -455,7 +436,7 @@ def _reference_tick(queue, now, backend, history, memory_enabled, load_of):
             new_level = backend.assess_drift(entry.current_urgency, knows_history)
             if new_level is not None:
                 events.append(
-                    queue.apply_escalation(
+                    _reference_escalate(
                         entry, now, new_level, CAUSE_DRIFT, "deterioration while waiting"
                     )
                 )
