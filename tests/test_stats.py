@@ -109,6 +109,9 @@ def test_two_sided_p_keeps_its_far_tail():
         assert ours > 0.0
         assert ours == pytest.approx(2.0 * scipy.stats.t.sf(t, 58.0), rel=1e-12, abs=0.0)
     assert t_sf_two_sided(math.inf, 58.0) == 0.0
+
+
+def test_t_cdf_rejects_bad_df():
     # No t distribution has df <= 0: betainc_regularized refuses a = df / 2.
     for df in (0.0, -3.0):
         with pytest.raises(ValidationError):
