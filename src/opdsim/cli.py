@@ -26,6 +26,7 @@ import datetime as _dt
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -229,9 +230,13 @@ def _worker_run(payload) -> dict:
 
 
 def _run_many(patients, history, config, roster, base_seed, n_runs, workers) -> list[dict]:
+    if n_runs < 1:
+        raise ValidationError(f"--runs must be at least 1, got {n_runs}")
     payloads = [
         (patients, history, config, roster, s) for s in range(base_seed, base_seed + n_runs)
     ]
+    # pool.map keeps payload order, so the worker count never changes the output
+    workers = min(workers, n_runs)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             return pool.map(_worker_run, payloads)
@@ -259,9 +264,14 @@ def _escalations_csv(rows: list[tuple[int, dict]]) -> str:
     return buf.getvalue()
 
 
-def _write_experiment_dir(out_dir: Path, manifest: dict, run_payloads: list[dict]) -> dict:
-    """runs.jsonl + waits.json + escalations.csv + summary.csv + manifest.json."""
-    out_dir = Path(out_dir)
+def _experiment_dir(out_dir: Path, args, config, patients, history, dataset_fp, roster) -> dict:
+    """Run `args.runs` sessions of `config` and write runs.jsonl + waits.json +
+    escalations.csv + summary.csv + manifest.json; nothing is written unless
+    every session ran."""
+    manifest = build_manifest(config, dataset_fp, roster, args.base_seed, args.runs)
+    run_payloads = _run_many(
+        patients, history, config, roster, args.base_seed, args.runs, args.workers
+    )
     compat = manifest["compat_hash"]
     lines = []
     esc_rows: list[tuple[int, dict]] = []
@@ -346,13 +356,10 @@ def cmd_experiment(args) -> int:
     patients, history = _load_dataset(args.dataset)
     config = _load_config(args)
     roster = _load_roster(args.roster)
-    manifest = build_manifest(
-        config, dataset_fingerprint(patients, history), roster, args.base_seed, args.runs
+    summaries = _experiment_dir(
+        Path(args.out_dir), args, config, patients, history,
+        dataset_fingerprint(patients, history), roster,
     )
-    payloads = _run_many(
-        patients, history, config, roster, args.base_seed, args.runs, args.workers
-    )
-    summaries = _write_experiment_dir(Path(args.out_dir), manifest, payloads)
     print(f"wrote {args.out_dir} ({args.runs} runs of {config.strategy.value})")
     print(summary_table({config.strategy.value: summaries}))
     return 0
@@ -365,12 +372,8 @@ def cmd_ablation(args) -> int:
     all_summaries = {}
     for name, flags in ABLATION_VARIANTS.items():
         config = StrategyConfig(strategy=Strategy.AGENTIC, **flags)
-        manifest = build_manifest(config, dataset_fp, roster, args.base_seed, args.runs)
-        payloads = _run_many(
-            patients, history, config, roster, args.base_seed, args.runs, args.workers
-        )
-        all_summaries[name] = _write_experiment_dir(
-            Path(args.out_dir) / name, manifest, payloads
+        all_summaries[name] = _experiment_dir(
+            Path(args.out_dir) / name, args, config, patients, history, dataset_fp, roster
         )
     fields = [
         "escalation_count",
@@ -454,6 +457,10 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def cmd_calibrate(args) -> int:
+    targets = (("--target-drifts", args.target_drifts), ("--target-crit", args.target_crit))
+    for flag, target in targets:
+        if not 0 < target < math.inf:  # NaN fails both comparisons
+            raise ValidationError(f"{flag} must be a positive finite number, got {target}")
     patients, history = _load_dataset(args.dataset)
     roster = _load_roster(args.roster)
     kappas = _parse_floats(args.kappas, "--kappas")

@@ -178,6 +178,7 @@ ALLERGY_RATE = 0.15
 # Deterioration archetypes: deceptively mild presentations whose history
 # mandates escalation.  One record matching each is installed in every
 # generated dataset (hosted on face-LOW patients with matching demographics).
+# A condition listed in CONDITION_COUNTS counts toward its total.
 ARCHETYPES = (
     {
         "key": "prior_tia",
@@ -185,8 +186,7 @@ ARCHETYPES = (
         "complaint": "Mild headache, dizziness",
         "target": UrgencyLevel.CRITICAL,
         "reason": "Prior TIA 6 months ago - stroke warning",
-        "counted_condition": None,
-        "extra_conditions": ("prior TIA",),
+        "conditions": ("prior TIA",),
         "medications": ("Aspirin",),
         "allergies": (),
     },
@@ -196,8 +196,7 @@ ARCHETYPES = (
         "complaint": "Minor bruising, bleeding",
         "target": UrgencyLevel.CRITICAL,
         "reason": "On Warfarin - minor bleeding may signal serious haemorrhage",
-        "counted_condition": None,
-        "extra_conditions": ("atrial fibrillation",),
+        "conditions": ("atrial fibrillation",),
         "medications": ("Warfarin",),
         "allergies": (),
     },
@@ -207,8 +206,7 @@ ARCHETYPES = (
         "complaint": "Nausea, weakness",
         "target": UrgencyLevel.HIGH,
         "reason": "CKD Stage 3 - hyperkalaemia risk",
-        "counted_condition": "chronic kidney disease",
-        "extra_conditions": (),
+        "conditions": ("chronic kidney disease",),
         "medications": ("Calcium acetate",),
         "allergies": (),
     },
@@ -218,8 +216,7 @@ ARCHETYPES = (
         "complaint": "Mild abdominal pain",
         "target": UrgencyLevel.CRITICAL,
         "reason": "High-risk pregnancy - previous caesarean",
-        "counted_condition": "high-risk pregnancy",
-        "extra_conditions": (),
+        "conditions": ("high-risk pregnancy",),
         "medications": ("Iron-folic acid", "Calcium supplement"),
         "allergies": (),
     },
@@ -229,8 +226,7 @@ ARCHETYPES = (
         "complaint": "Cough, mild fever",
         "target": UrgencyLevel.HIGH,
         "reason": "Severe COPD with prior ICU admission",
-        "counted_condition": "copd",
-        "extra_conditions": (),
+        "conditions": ("copd",),
         "medications": ("Tiotropium inhaler",),
         "allergies": (),
     },
@@ -240,8 +236,7 @@ ARCHETYPES = (
         "complaint": "Drowsy, confused",
         "target": UrgencyLevel.HIGH,
         "reason": "Prior status epilepticus; documented Phenytoin allergy",
-        "counted_condition": "epilepsy",
-        "extra_conditions": (),
+        "conditions": ("epilepsy",),
         "medications": ("Levetiracetam",),
         "allergies": ("Phenytoin",),
     },
@@ -251,8 +246,7 @@ ARCHETYPES = (
         "complaint": "Low-grade fever",
         "target": UrgencyLevel.HIGH,
         "reason": "Immunosuppressed (SLE on mycophenolate) - masked infection risk",
-        "counted_condition": "sle",
-        "extra_conditions": (),
+        "conditions": ("sle",),
         "medications": ("Mycophenolate mofetil", "Hydroxychloroquine"),
         "allergies": (),
     },
@@ -457,11 +451,14 @@ def _strings(d: dict, key: str) -> list[str]:
 def seeded_stream(seed: int, key: int) -> np.random.Generator:
     """Purpose stream `key` of `seed`: distinct SeedSequence spawn keys give
     independent streams for one seed."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
 
 
-def _apportion(total: int, shares) -> list[int]:
-    """Largest-remainder rounding of `share * total` to integers summing to total."""
+def _apportion(total: int, shares) -> list[tuple]:
+    """Largest-remainder rounding of `share * total` to integers summing to
+    total, as `(value, count)` pairs."""
     raw = [s * total for _, s in shares]
     counts = [int(x) for x in raw]
     remainders = [x - c for x, c in zip(raw, counts)]
@@ -470,15 +467,14 @@ def _apportion(total: int, shares) -> list[int]:
     order = sorted(range(len(shares)), key=lambda i: (-remainders[i], i))
     for i in order[:short]:
         counts[i] += 1
-    return counts
+    return [(value, count) for (value, _), count in zip(shares, counts)]
 
 
-def _shuffled_column(rng: np.random.Generator, shares, total: int = N_PATIENTS) -> list:
-    values: list = []
-    for (value, _), count in zip(shares, _apportion(total, shares)):
-        values.extend([value] * count)
-    perm = rng.permutation(total)
-    return [values[i] for i in perm]
+def _shuffled(rng: np.random.Generator, counts) -> list:
+    """Each value of the `(value, count)` pairs repeated its count, in random
+    order."""
+    values = [value for value, count in counts for _ in range(count)]
+    return [values[i] for i in rng.permutation(len(values))]
 
 
 def generate_dataset(seed: int = 42) -> tuple[list[Patient], dict[str, HistoryRecord]]:
@@ -489,18 +485,12 @@ def generate_dataset(seed: int = 42) -> tuple[list[Patient], dict[str, HistoryRe
     independently); only the co-occurrence pattern varies.
     """
     rng = seeded_stream(seed, _STREAM_PATIENTS)
-
-    urgency_col: list[UrgencyLevel] = []
-    for level, count in URGENCY_COUNTS.items():
-        urgency_col.extend([level] * count)
-    perm = rng.permutation(N_PATIENTS)
-    urgency_col = [urgency_col[i] for i in perm]
-
-    band_col = _shuffled_column(rng, AGE_BAND_SHARES)
-    gender_col = _shuffled_column(rng, GENDER_SHARES)
-    locality_col = _shuffled_column(rng, LOCALITY_SHARES)
-    language_col = _shuffled_column(rng, LANGUAGE_SHARES)
-    payment_col = _shuffled_column(rng, PAYMENT_SHARES)
+    urgency_col = _shuffled(rng, URGENCY_COUNTS.items())
+    band_col = _shuffled(rng, _apportion(N_PATIENTS, AGE_BAND_SHARES))
+    gender_col = _shuffled(rng, _apportion(N_PATIENTS, GENDER_SHARES))
+    locality_col = _shuffled(rng, _apportion(N_PATIENTS, LOCALITY_SHARES))
+    language_col = _shuffled(rng, _apportion(N_PATIENTS, LANGUAGE_SHARES))
+    payment_col = _shuffled(rng, _apportion(N_PATIENTS, PAYMENT_SHARES))
     specialty_col = _assign_specialties(rng, band_col, gender_col)
 
     patients: list[Patient] = []
@@ -535,59 +525,39 @@ def generate_dataset(seed: int = 42) -> tuple[list[Patient], dict[str, HistoryRe
 
 def _assign_specialties(rng, band_col, gender_col) -> list[Specialty]:
     """Exact-count specialty demand with two realism constraints: pediatric
-    demand sits on pediatric-band patients, obgyn demand on female patients."""
-    counts = dict(zip([s for s, _ in SPECIALTY_SHARES], _apportion(N_PATIENTS, SPECIALTY_SHARES)))
+    demand sits on pediatric-band patients, obgyn demand on adult female
+    patients.  The other specialties are dealt over the remaining patients."""
+    counts = dict(_apportion(N_PATIENTS, SPECIALTY_SHARES))
     col: list[Specialty | None] = [None] * N_PATIENTS
-
-    ped_idx = [i for i in range(N_PATIENTS) if band_col[i] is AgeBand.PEDIATRIC]
-    if len(ped_idx) < counts[Specialty.PEDIATRICS]:
-        raise ValidationError("not enough pediatric patients for pediatric demand")
-    for i in rng.choice(ped_idx, size=counts[Specialty.PEDIATRICS], replace=False):
-        col[int(i)] = Specialty.PEDIATRICS
-
-    fem_idx = [
-        i for i in range(N_PATIENTS)
-        if col[i] is None and gender_col[i] == "F" and band_col[i] is not AgeBand.PEDIATRIC
-    ]
-    if len(fem_idx) < counts[Specialty.OBGYN]:
-        raise ValidationError("not enough adult female patients for obgyn demand")
-    for i in rng.choice(fem_idx, size=counts[Specialty.OBGYN], replace=False):
-        col[int(i)] = Specialty.OBGYN
-
-    rest = [
-        Specialty.GENERAL_MEDICINE,
-    ] * counts[Specialty.GENERAL_MEDICINE] + [
-        Specialty.ORTHOPEDICS,
-    ] * counts[Specialty.ORTHOPEDICS] + [
-        Specialty.SURGERY,
-    ] * counts[Specialty.SURGERY]
+    constrained = (
+        (Specialty.PEDIATRICS, lambda i: band_col[i] is AgeBand.PEDIATRIC),
+        (Specialty.OBGYN, lambda i: gender_col[i] == "F" and band_col[i] is not AgeBand.PEDIATRIC),
+    )
+    for specialty, eligible in constrained:
+        need = counts.pop(specialty)
+        idx = [i for i in range(N_PATIENTS) if col[i] is None and eligible(i)]
+        if len(idx) < need:
+            raise ValidationError(f"not enough eligible patients for {specialty.value} demand")
+        for i in rng.choice(idx, size=need, replace=False):
+            col[int(i)] = specialty
     open_idx = [i for i in range(N_PATIENTS) if col[i] is None]
-    perm = rng.permutation(len(rest))
-    for slot, j in zip(open_idx, perm):
-        col[slot] = rest[int(j)]
+    for i, specialty in zip(open_idx, _shuffled(rng, counts.items())):
+        col[i] = specialty
     return col  # type: ignore[return-value]
 
 
-def _pick_archetype_host(rng, spec: dict, pool: list[Patient], taken: set[str]) -> Patient:
-    """Choose a face-LOW history-eligible patient to carry an archetype record.
+def _pick_archetype_host(rng, spec: dict, pool: list[Patient], taken) -> Patient:
+    """Choose a face-LOW history-eligible patient, not in `taken`, to carry an
+    archetype record, and give it the archetype's complaint.
 
     Prefers an exact demographic match (gender + age band + general-medicine
-    demand); relaxes stepwise rather than mutating marginal-bearing fields.
+    demand), then the same gender and band, then the same gender; the age is
+    set only when the band matches, so no marginal-bearing field moves.
     """
-    def candidates(check_band: bool, check_spec: bool) -> list[Patient]:
-        out = []
-        for p in pool:
-            if p.patient_id in taken or p.gender != spec["gender"]:
-                continue
-            if check_band and p.age_band is not spec["band"]:
-                continue
-            if check_spec and p.required_specialty is not Specialty.GENERAL_MEDICINE:
-                continue
-            out.append(p)
-        return out
-
-    for check_band, check_spec in ((True, True), (True, False), (False, False)):
-        cand = candidates(check_band, check_spec)
+    same_gender = [p for p in pool if p.patient_id not in taken and p.gender == spec["gender"]]
+    same_band = [p for p in same_gender if p.age_band is spec["band"]]
+    exact = [p for p in same_band if p.required_specialty is Specialty.GENERAL_MEDICINE]
+    for cand in (exact, same_band, same_gender):
         if cand:
             host = cand[int(rng.integers(0, len(cand)))]
             if host.age_band is spec["band"]:
@@ -604,103 +574,56 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
     and re-marks `has_history` on the given patients.
     """
     rng = seeded_stream(seed, _STREAM_HISTORY)
+    by_face: dict[UrgencyLevel, list[Patient]] = {level: [] for level in HISTORY_FACE_MIX}
     for p in patients:
         p.has_history = False
-
-    eligible = [
-        p for p in patients
-        if p.face_urgency is not UrgencyLevel.CRITICAL and p.age_band is not AgeBand.PEDIATRIC
-    ]
-    if len(eligible) < N_HISTORY:
-        raise ValidationError(
-            f"dataset lacks {N_HISTORY} eligible (non-critical adult) patients for history"
-        )
-
-    by_face = {
-        UrgencyLevel.HIGH: [p for p in eligible if p.face_urgency is UrgencyLevel.HIGH],
-        UrgencyLevel.MEDIUM: [p for p in eligible if p.face_urgency is UrgencyLevel.MEDIUM],
-        UrgencyLevel.LOW: [p for p in eligible if p.face_urgency is UrgencyLevel.LOW],
-    }
+        if p.face_urgency in by_face and p.age_band is not AgeBand.PEDIATRIC:
+            by_face[p.face_urgency].append(p)
     for level, need in HISTORY_FACE_MIX.items():
         if len(by_face[level]) < need:
             raise ValidationError(f"not enough eligible {level.value}-urgency patients for history")
 
-    records: dict[str, HistoryRecord] = {}
-    taken: set[str] = set()
-    archetype_hosts: list[tuple[Patient, dict]] = []
+    hosts: dict[str, dict] = {}  # patient id -> archetype spec
+    chosen: list[Patient] = []
     for spec in ARCHETYPES:
-        host = _pick_archetype_host(rng, spec, by_face[UrgencyLevel.LOW], taken)
-        taken.add(host.patient_id)
-        archetype_hosts.append((host, spec))
-
-    chosen: list[Patient] = [h for h, _ in archetype_hosts]
+        host = _pick_archetype_host(rng, spec, by_face[UrgencyLevel.LOW], hosts)
+        hosts[host.patient_id] = spec
+        chosen.append(host)
     for level, need in HISTORY_FACE_MIX.items():
-        pool = [p for p in by_face[level] if p.patient_id not in taken]
-        already = sum(1 for p in chosen if p.face_urgency is level)
-        extra = need - already
-        idx = rng.choice(len(pool), size=extra, replace=False)
-        for i in sorted(int(j) for j in idx):
-            chosen.append(pool[i])
-            taken.add(pool[i].patient_id)
+        pool = [p for p in by_face[level] if p.patient_id not in hosts]
+        hosted = len(by_face[level]) - len(pool)
+        picks = rng.choice(len(pool), size=need - hosted, replace=False)
+        chosen.extend(pool[i] for i in sorted(picks.tolist()))
 
-    for p in chosen:
-        p.has_history = True
+    # Face-HIGH records can only rise to CRITICAL; a fixed handful of the
+    # other non-archetype records are hidden-critical, the rest rise to HIGH.
+    rest = [
+        p.patient_id for p in chosen
+        if p.patient_id not in hosts and p.face_urgency is not UrgencyLevel.HIGH
+    ]
+    picks = rng.choice(len(rest), size=N_EXTRA_CRITICAL_TARGETS, replace=False)
+    hidden_critical = {rest[i] for i in picks.tolist()}
+    conditions = _deal_conditions(rng, chosen, hosts)
 
-    # Escalation targets: face-HIGH records can only rise to CRITICAL; the
-    # archetypes carry their scripted targets; a fixed handful of the rest are
-    # hidden-critical, everyone else rises to HIGH.
-    archetype_ids = {h.patient_id for h, _ in archetype_hosts}
-    targets: dict[str, UrgencyLevel] = {}
-    reasons: dict[str, str] = {}
-    rest: list[Patient] = []
+    records: dict[str, HistoryRecord] = {}
     for p in chosen:
-        if p.patient_id in archetype_ids:
-            continue
-        if p.face_urgency is UrgencyLevel.HIGH:
-            targets[p.patient_id] = UrgencyLevel.CRITICAL
+        pid, conds = p.patient_id, conditions[p.patient_id]
+        meds = list(dict.fromkeys(m for c in conds for m in MEDICATIONS_BY_CONDITION.get(c, ())))
+        spec = hosts.get(pid)
+        if spec is not None:
+            rule = EscalationRule(spec["target"], spec["reason"])
+            # the spec's medications that no condition brings lead, last first
+            meds = [m for m in reversed(spec["medications"]) if m not in meds] + meds
+            allergies = list(spec["allergies"])
         else:
-            rest.append(p)
-    crit_idx = set(int(i) for i in rng.choice(len(rest), size=N_EXTRA_CRITICAL_TARGETS, replace=False))
-    for i, p in enumerate(rest):
-        targets[p.patient_id] = UrgencyLevel.CRITICAL if i in crit_idx else UrgencyLevel.HIGH
-
-    conditions = _deal_conditions(rng, chosen, archetype_hosts)
-
-    for p in chosen:
-        conds = conditions[p.patient_id]
-        if p.patient_id in archetype_ids:
-            continue
-        primary = conds[0]
-        reasons[p.patient_id] = ESCALATION_REASONS[primary]
-
-    for p in chosen:
-        conds = conditions[p.patient_id]
-        meds: list[str] = []
-        for c in conds:
-            for m in MEDICATIONS_BY_CONDITION.get(c, ()):
-                if m not in meds:
-                    meds.append(m)
-        allergies: list[str] = []
-        if p.patient_id not in archetype_ids and rng.random() < ALLERGY_RATE:
-            allergies.append(ALLERGY_POOL[int(rng.integers(0, len(ALLERGY_POOL)))])
-        records[p.patient_id] = HistoryRecord(
-            patient_id=p.patient_id,
-            conditions=conds,
-            medications=meds,
-            allergies=allergies,
-            escalation_rule=EscalationRule(
-                target=targets.get(p.patient_id, UrgencyLevel.HIGH),
-                reason=reasons.get(p.patient_id, ""),
-            ),
-        )
-
-    for host, spec in archetype_hosts:
-        rec = records[host.patient_id]
-        rec.escalation_rule = EscalationRule(target=spec["target"], reason=spec["reason"])
-        for m in spec["medications"]:
-            if m not in rec.medications:
-                rec.medications.insert(0, m)
-        rec.allergies = list(spec["allergies"]) + [a for a in rec.allergies if a not in spec["allergies"]]
+            critical = p.face_urgency is UrgencyLevel.HIGH or pid in hidden_critical
+            target = UrgencyLevel.CRITICAL if critical else UrgencyLevel.HIGH
+            rule = EscalationRule(target, ESCALATION_REASONS[conds[0]])
+            allergies = []
+            if rng.random() < ALLERGY_RATE:
+                allergies.append(ALLERGY_POOL[int(rng.integers(0, len(ALLERGY_POOL)))])
+        records[pid] = HistoryRecord(pid, conds, meds, allergies, rule)
+        p.has_history = True
 
     if len(records) != N_HISTORY:
         raise ValidationError(f"history store has {len(records)} records, wanted {N_HISTORY}")
@@ -712,31 +635,28 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
     return records
 
 
-def _deal_conditions(rng, chosen: list[Patient], archetype_hosts) -> dict[str, list[str]]:
+def _deal_conditions(rng, chosen: list[Patient], hosts: dict[str, dict]) -> dict[str, list[str]]:
     """Two-phase deal hitting the unique-patient condition counts exactly.
 
-    Phase A covers every non-archetype record with one condition; phase B
-    spreads the remaining tags as comorbidities over non-carriers.  High-risk
-    pregnancy only lands on female young-adult/adult patients.
+    Archetype hosts start with their spec's conditions, the counted ones
+    taken off the deal.  Phase A covers every other record with one
+    condition; phase B spreads the remaining tags as comorbidities over
+    non-carriers.  High-risk pregnancy only lands on female young-adult/adult
+    patients.
     """
     remaining = dict(CONDITION_COUNTS)
     conditions: dict[str, list[str]] = {p.patient_id: [] for p in chosen}
+    for pid, spec in hosts.items():
+        conditions[pid].extend(spec["conditions"])
+        for cond in spec["conditions"]:
+            if cond in remaining:
+                remaining[cond] -= 1
 
-    for host, spec in archetype_hosts:
-        conds = list(spec["extra_conditions"])
-        if spec["counted_condition"]:
-            conds.insert(0, spec["counted_condition"])
-            remaining[spec["counted_condition"]] -= 1
-        conditions[host.patient_id] = conds
-
-    archetype_ids = {h.patient_id for h, _ in archetype_hosts}
-    uncovered = [p for p in chosen if p.patient_id not in archetype_ids]
-    perm = rng.permutation(len(uncovered))
-    uncovered = [uncovered[int(i)] for i in perm]
-
-    tokens: list[str] = []
-    for cond in sorted(remaining, key=lambda c: -remaining[c]):
-        tokens.extend([cond] * remaining[cond])
+    uncovered = [p for p in chosen if p.patient_id not in hosts]
+    uncovered = [uncovered[i] for i in rng.permutation(len(uncovered))]
+    tokens = [
+        cond for cond in sorted(remaining, key=lambda c: -remaining[c]) for _ in range(remaining[cond])
+    ]
 
     def hrp_ok(p: Patient) -> bool:
         return p.gender == "F" and p.age_band in (AgeBand.YOUNG_ADULT, AgeBand.ADULT)
@@ -785,10 +705,13 @@ def dataset_to_dict(patients: list[Patient], history: dict[str, HistoryRecord]) 
 
 def dataset_from_dict(d: dict) -> tuple[list[Patient], dict[str, HistoryRecord]]:
     try:
+        version = _typed(d, "schema_version", int)
         raw_patients = _typed(d, "patients", list)
         raw_history = _typed(d, "history", dict)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"dataset file missing section: {exc}") from exc
+    if version != DATASET_SCHEMA_VERSION:
+        raise ValidationError(f"dataset schema_version {version}, expected {DATASET_SCHEMA_VERSION}")
     patients = [Patient.from_dict(x) for x in raw_patients]
     history = {pid: HistoryRecord.from_dict(x) for pid, x in raw_history.items()}
     _validate_dataset(patients, history)

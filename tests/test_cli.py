@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -175,9 +176,15 @@ def _first_record(d):
         lambda d: _first_patient(d).update(has_history="no"),
         lambda d: _first_patient(d).update(face_acuity=_first_patient(d)["face_acuity"] + 0.7),
         lambda d: _first_record(d).update(conditions="abc"),
+        lambda d: d.update(schema_version=99),
+        lambda d: d.update(schema_version="x"),
+        lambda d: d.update(schema_version=True),
+        lambda d: d.update(schema_version=1.0),
+        lambda d: d.pop("schema_version"),
     ],
     ids=["patients-number", "history-list", "patient-row-number", "age-list",
-         "has-history-string", "acuity-float", "conditions-string"],
+         "has-history-string", "acuity-float", "conditions-string", "schema-99",
+         "schema-string", "schema-true", "schema-float", "schema-missing"],
 )
 def test_run_mistyped_dataset_exits_3(tmp_path, capsys, dataset42, edit):
     data = json.loads(json.dumps(dataset_to_dict(*dataset42)))
@@ -203,6 +210,34 @@ def test_run_bad_roster_ids_exit_3(tmp_path, capsys, ids):
         argv = ["run", "--strategy", strategy, "--seed", "1", "--roster", str(path)]
         assert main(argv) == 3, strategy
         assert "roster ids must be unique non-empty strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--seed", "-1", "--out", "{tmp}/cohort.json"],
+        ["run", "--strategy", "fcfs", "--seed", "-1", "--out", "{tmp}/m.json"],
+        ["experiment", "--strategy", "fcfs", "--base-seed", "-1", "--out-dir", "{tmp}/exp"],
+        ["calibrate", "--base-seed", "-1", "--out", "{tmp}/drift.json"],
+        ["experiment", "--strategy", "fcfs", "--runs", "0", "--out-dir", "{tmp}/exp"],
+        ["experiment", "--strategy", "fcfs", "--runs", "-2", "--out-dir", "{tmp}/exp"],
+        ["ablation", "--runs", "0", "--out-dir", "{tmp}/abl"],
+        ["calibrate", "--runs", "0", "--out", "{tmp}/drift.json"],
+        ["calibrate", "--target-drifts", "0", "--out", "{tmp}/drift.json"],
+        ["calibrate", "--target-crit", "0", "--out", "{tmp}/drift.json"],
+        ["calibrate", "--target-crit", "-3", "--out", "{tmp}/drift.json"],
+        ["calibrate", "--target-drifts", "nan", "--out", "{tmp}/drift.json"],
+        ["calibrate", "--target-crit", "inf", "--out", "{tmp}/drift.json"],
+    ],
+    ids=["generate-seed", "run-seed", "experiment-base-seed", "calibrate-base-seed",
+         "experiment-runs-0", "experiment-runs-negative", "ablation-runs-0", "calibrate-runs-0",
+         "calibrate-drifts-0", "calibrate-crit-0", "calibrate-crit-negative",
+         "calibrate-drifts-nan", "calibrate-crit-inf"],
+)
+def test_invalid_seed_runs_or_target_exits_3_and_writes_nothing(tmp_path, capsys, argv):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- experiment
@@ -248,6 +283,31 @@ def test_experiment_reruns_are_byte_identical(tmp_path):
     ma.pop("created_at")
     mb.pop("created_at")
     assert ma == mb
+
+
+def test_experiment_pool_is_capped_at_the_run_count(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    a, b = tmp_path / "a", tmp_path / "b"
+    _experiment(a, strategy="fcfs", runs=2)
+    _experiment(b, strategy="fcfs", runs=2, extra=["--workers", "64"])
+    assert sizes == [2]
+    for name in ("runs.jsonl", "waits.json", "escalations.csv", "summary.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------- compare
