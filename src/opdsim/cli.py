@@ -73,8 +73,21 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _atomic_write_json(path: Path, obj) -> None:
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write_text(path, _json_text(obj))
+
+
+def _csv_text(header: list, rows) -> str:
+    """One CSV document in the csv module's default dialect (`\\r\\n` rows)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _canonical_json(obj) -> str:
@@ -102,21 +115,17 @@ def _read_json(path: Path):
 
 def _load_config(args) -> StrategyConfig:
     """CLI flag > config file > built-in default."""
-    base: dict = {}
-    if getattr(args, "config", None):
-        loaded = _read_json(Path(args.config))
-        if not isinstance(loaded, dict):
-            raise ValidationError(f"{args.config}: config must be a JSON object")
-        base.update(loaded)
-    if getattr(args, "strategy", None):
+    base = _read_json(Path(args.config)) if args.config else {}
+    if not isinstance(base, dict):
+        raise ValidationError(f"{args.config}: config must be a JSON object")
+    if args.strategy:
         base["strategy"] = args.strategy
-    if getattr(args, "no_memory", False):
+    if args.no_memory:
         base["memory_enabled"] = False
-    if getattr(args, "no_drift", False):
+    if args.no_drift:
         base["drift_enabled"] = False
     config = StrategyConfig.from_dict(base)
-    redundant = getattr(args, "no_memory", False) or getattr(args, "no_drift", False)
-    if redundant and config.strategy is not Strategy.AGENTIC:
+    if (args.no_memory or args.no_drift) and config.strategy is not Strategy.AGENTIC:
         print(
             f"warning: --no-memory/--no-drift are redundant for "
             f"{config.strategy.value} (it has no reassessment loop)",
@@ -232,6 +241,8 @@ def _worker_run(payload) -> dict:
 def _run_many(patients, history, config, roster, base_seed, n_runs, workers) -> list[dict]:
     if n_runs < 1:
         raise ValidationError(f"--runs must be at least 1, got {n_runs}")
+    if workers < 1:
+        raise ValidationError(f"--workers must be at least 1, got {workers}")
     payloads = [
         (patients, history, config, roster, s) for s in range(base_seed, base_seed + n_runs)
     ]
@@ -241,27 +252,6 @@ def _run_many(patients, history, config, roster, base_seed, n_runs, workers) -> 
         with multiprocessing.Pool(workers) as pool:
             return pool.map(_worker_run, payloads)
     return [_worker_run(p) for p in payloads]
-
-
-def _summary_csv(summaries: dict, manifest_hash: str) -> str:
-    buf = io.StringIO()
-    buf.write(f"# manifest: {manifest_hash}\n")
-    writer = csv.writer(buf)
-    writer.writerow(["metric", "mean", "std", "n"])
-    for name, s in summaries.items():
-        writer.writerow([name, f"{s.mean:.6f}", f"{s.std:.6f}", s.n])
-    return buf.getvalue()
-
-
-def _escalations_csv(rows: list[tuple[int, dict]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["run_seed", "time", "patient_id", "from_level", "to_level", "cause"])
-    for seed, row in rows:
-        writer.writerow(
-            [seed, row["time"], row["patient_id"], row["from_level"], row["to_level"], row["cause"]]
-        )
-    return buf.getvalue()
 
 
 def _experiment_dir(out_dir: Path, args, config, patients, history, dataset_fp, roster) -> dict:
@@ -274,12 +264,13 @@ def _experiment_dir(out_dir: Path, args, config, patients, history, dataset_fp, 
     )
     compat = manifest["compat_hash"]
     lines = []
-    esc_rows: list[tuple[int, dict]] = []
+    esc_header = ["run_seed", "time", "patient_id", "from_level", "to_level", "cause"]
+    esc_rows = []
     for payload, seed in zip(run_payloads, manifest["seeds"]):
         row = dict(payload["metrics"])
         row["manifest"] = compat
         lines.append(_canonical_json(row))
-        esc_rows.extend((seed, e) for e in payload["escalations"])
+        esc_rows.extend([seed] + [e[f] for f in esc_header[1:]] for e in payload["escalations"])
     _atomic_write_text(out_dir / "runs.jsonl", "\n".join(lines) + "\n")
     _atomic_write_json(
         out_dir / "waits.json",
@@ -289,11 +280,32 @@ def _experiment_dir(out_dir: Path, args, config, patients, history, dataset_fp, 
             "overall": [p["overall_waits"] for p in run_payloads],
         },
     )
-    _atomic_write_text(out_dir / "escalations.csv", _escalations_csv(esc_rows))
+    _atomic_write_text(out_dir / "escalations.csv", _csv_text(esc_header, esc_rows))
     summaries = summarize_runs([SessionMetrics(**p["metrics"]) for p in run_payloads])
-    _atomic_write_text(out_dir / "summary.csv", _summary_csv(summaries, compat))
+    rows = [[name, f"{s.mean:.6f}", f"{s.std:.6f}", s.n] for name, s in summaries.items()]
+    summary = f"# manifest: {compat}\n" + _csv_text(["metric", "mean", "std", "n"], rows)
+    _atomic_write_text(out_dir / "summary.csv", summary)
     _atomic_write_json(out_dir / "manifest.json", manifest)
     return summaries
+
+
+def _read_experiment(d: Path) -> tuple[dict, dict]:
+    """The manifest and waits `_experiment_dir` wrote to `d`, refused unless
+    the waits carry the manifest's compat_hash and n_runs lists of numbers."""
+    manifest, waits = _read_json(d / "manifest.json"), _read_json(d / "waits.json")
+    try:
+        n_runs, columns = manifest["n_runs"], (waits["critical"], waits["overall"])
+        ok = waits["manifest"] == manifest["compat_hash"]
+        ok = ok and type(manifest["config"]["strategy"]) is str and type(n_runs) is int
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{d}: not an experiment directory ({exc!r})") from exc
+    if not ok or not all(
+        type(runs) is list and len(runs) == n_runs
+        and all(type(r) is list and all(type(w) in (int, float) for w in r) for r in runs)
+        for runs in columns
+    ):
+        raise ValidationError(f"{d}: waits.json is not {n_runs} runs of this manifest")
+    return manifest, waits
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +331,7 @@ def cmd_run(args) -> int:
     result = run_session(
         patients, history, config, args.seed, roster=roster, collect_trace=args.trace
     )
-    metrics_json = json.dumps(result.metrics.to_dict(), indent=2, sort_keys=True) + "\n"
+    metrics_json = _json_text(result.metrics.to_dict())
     if args.out:
         _atomic_write_text(Path(args.out), metrics_json)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -327,13 +339,9 @@ def cmd_run(args) -> int:
         sys.stdout.write(metrics_json)
     if args.trace:
         trace_path = Path(args.trace_out or _default_trace_path(args.out))
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf, fieldnames=["time", "event", "patient_id", "physician_id", "detail"]
-        )
-        writer.writeheader()
-        writer.writerows(result.trace)
-        _atomic_write_text(trace_path, buf.getvalue())
+        header = ["time", "event", "patient_id", "physician_id", "detail"]
+        rows = (list(row.values()) for row in result.trace)  # record()'s field order
+        _atomic_write_text(trace_path, _csv_text(header, rows))
         print(f"wrote {trace_path}", file=sys.stderr)
     m = result.metrics
     avg_wait = "n/a" if m.avg_wait is None else f"{m.avg_wait:.1f} min"
@@ -385,23 +393,18 @@ def cmd_ablation(args) -> int:
         "throughput_per_hour",
     ]
     table = summary_table(all_summaries, fields=fields)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["variant"] + fields)
-    for name, summaries in all_summaries.items():
-        writer.writerow([name] + [f"{summaries[f].mean:.4f}" for f in fields])
-    _atomic_write_text(Path(args.out_dir) / "ablation_summary.csv", buf.getvalue())
+    rows = ([name] + [f"{summaries[f].mean:.4f}" for f in fields]
+            for name, summaries in all_summaries.items())
+    _atomic_write_text(
+        Path(args.out_dir) / "ablation_summary.csv", _csv_text(["variant"] + fields, rows)
+    )
     print(f"wrote {args.out_dir} (4 variants x {args.runs} runs)")
     print(table)
     return 0
 
 
 def cmd_compare(args) -> int:
-    dirs = [Path(args.dir_a), Path(args.dir_b)]
-    manifests, waits = [], []
-    for d in dirs:
-        manifests.append(_read_json(d / "manifest.json"))
-        waits.append(_read_json(d / "waits.json"))
+    manifests, waits = zip(*(_read_experiment(Path(d)) for d in (args.dir_a, args.dir_b)))
     if manifests[0]["n_runs"] != manifests[1]["n_runs"]:
         raise ValidationError(
             f"run-count mismatch: {manifests[0]['n_runs']} vs {manifests[1]['n_runs']}"
@@ -419,13 +422,11 @@ def cmd_compare(args) -> int:
     sample_a = [w for run in waits[0][key] for w in run]
     sample_b = [w for run in waits[1][key] for w in run]
     res = welch_t(sample_a, sample_b)
-    name_a = manifests[0]["config"]["strategy"]
-    name_b = manifests[1]["config"]["strategy"]
     header = ["metric", "arm_a", "arm_b", "mean_a", "mean_b", "t", "df", "p", "cohen_d", "n_a", "n_b"]
     row = [
         args.metric,
-        name_a,
-        name_b,
+        manifests[0]["config"]["strategy"],
+        manifests[1]["config"]["strategy"],
         f"{res.mean_a:.4f}",
         f"{res.mean_b:.4f}",
         f"{res.t_stat:.4f}",
@@ -438,11 +439,7 @@ def cmd_compare(args) -> int:
     print("  ".join(header))
     print("  ".join(str(c) for c in row))
     if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerow(row)
-        _atomic_write_text(Path(args.out), buf.getvalue())
+        _atomic_write_text(Path(args.out), _csv_text(header, [row]))
     return 0
 
 
@@ -453,7 +450,7 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         raise ValidationError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
     if not values:
         raise ValidationError(f"{flag}: empty grid")
-    return values
+    return list(dict.fromkeys(values))  # a repeated value would run its cells twice
 
 
 def cmd_calibrate(args) -> int:
@@ -465,37 +462,29 @@ def cmd_calibrate(args) -> int:
     roster = _load_roster(args.roster)
     kappas = _parse_floats(args.kappas, "--kappas")
     p_hists = _parse_floats(args.p_hists, "--p-hists")
+    # every cell is checked before the first session runs
+    cells = [(k, p, DriftParams(history_multiplier=k, p_history_escalation=p))
+             for k in kappas for p in p_hists]
     rows = []
-    best = None
-    for kappa in kappas:
-        for p_hist in p_hists:
-            drift = DriftParams(history_multiplier=kappa, p_history_escalation=p_hist)
-            config = StrategyConfig(strategy=Strategy.AGENTIC, drift=drift)
-            payloads = _run_many(
-                patients, history, config, roster, args.base_seed, args.runs, args.workers
-            )
-            esc = sum(p["metrics"]["escalation_count"] for p in payloads) / len(payloads)
-            crit = sum(
-                p["metrics"]["final_composition"]["critical"] for p in payloads
-            ) / len(payloads)
-            dist = (
-                abs(esc - args.target_drifts) / args.target_drifts
-                + abs(crit - args.target_crit) / args.target_crit
-            )
-            rows.append((kappa, p_hist, esc, crit, dist))
-            if best is None or dist < best[4]:
-                best = rows[-1]
+    for kappa, p_hist, drift in cells:
+        config = StrategyConfig(strategy=Strategy.AGENTIC, drift=drift)
+        payloads = _run_many(
+            patients, history, config, roster, args.base_seed, args.runs, args.workers
+        )
+        esc = sum(p["metrics"]["escalation_count"] for p in payloads) / len(payloads)
+        crit = sum(p["metrics"]["final_composition"]["critical"] for p in payloads) / len(payloads)
+        dist = (
+            abs(esc - args.target_drifts) / args.target_drifts
+            + abs(crit - args.target_crit) / args.target_crit
+        )
+        rows.append((kappa, p_hist, esc, crit, dist, drift))
+    best = min(rows, key=lambda row: row[4])  # the first of equal distances
     print("kappa  p_hist  escalations  critical  distance")
-    for kappa, p_hist, esc, crit, dist in rows:
-        mark = "  <-- chosen" if (kappa, p_hist) == best[:2] else ""
-        print(f"{kappa:5.2f}  {p_hist:6.3f}  {esc:11.1f}  {crit:8.2f}  {dist:8.4f}{mark}")
-    fragment = {
-        "drift": DriftParams(
-            history_multiplier=best[0], p_history_escalation=best[1]
-        ).to_dict()
-    }
+    for row in rows:
+        mark = "  <-- chosen" if row is best else ""
+        print("{:5.2f}  {:6.3f}  {:11.1f}  {:8.2f}  {:8.4f}".format(*row[:5]) + mark)
     if args.out:
-        _atomic_write_json(Path(args.out), fragment)
+        _atomic_write_json(Path(args.out), {"drift": best[5].to_dict()})
         print(f"wrote {args.out}")
     return 0
 
@@ -509,8 +498,8 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--roster", help="physician roster JSON: list of {id, specialty}")
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--runs", type=int, default=DEFAULT_RUNS, help="number of sessions (default %(default)s)")
+def _add_experiment_flags(p: argparse.ArgumentParser, runs: int = DEFAULT_RUNS) -> None:
+    p.add_argument("--runs", type=int, default=runs, help="number of sessions (default %(default)s)")
     p.add_argument("--base-seed", type=int, default=DEFAULT_BASE_SEED,
                    help="seeds are base, base+1, ... (default %(default)s)")
     p.add_argument("--workers", type=int, default=1, help="parallel worker processes (default 1)")
@@ -575,11 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target mean escalation count (default %(default)s)")
     p.add_argument("--target-crit", type=float, default=DEFAULT_TARGET_CRIT,
                    help="target mean final critical count (default %(default)s)")
-    p.add_argument("--runs", type=int, default=DEFAULT_CALIBRATE_RUNS,
-                   help="sessions per grid cell (default %(default)s)")
-    p.add_argument("--base-seed", type=int, default=DEFAULT_BASE_SEED)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write the chosen constants as a config fragment JSON")
+    _add_experiment_flags(p, runs=DEFAULT_CALIBRATE_RUNS)
     _add_dataset_flags(p)
     p.set_defaults(handler=cmd_calibrate)
     return parser

@@ -20,6 +20,7 @@ import functools
 import heapq
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,7 +123,10 @@ class StrategyConfig:
             raise ValidationError("need at least one registration desk")
         for name in ("registration_mean", "registration_std", "session_minutes"):
             require_number(name, getattr(self, name))
-        if self.registration_mean <= 0 or self.registration_std < 0:
+        # Durations are redrawn until they reach REG_MIN, which takes over 700
+        # draws each once REG_MIN lies more than 3 std above the mean.
+        far = self.registration_std > 0 and self.registration_mean + 3 * self.registration_std < REG_MIN
+        if self.registration_mean <= 0 or self.registration_std < 0 or far:
             raise ValidationError("bad registration time parameters")
         if self.session_minutes <= 0:
             raise ValidationError("session must have positive length")
@@ -238,13 +242,14 @@ def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfi
     draw = functools.partial(
         _positive_normal, _normals(rng), config.registration_mean, config.registration_std, REG_MIN
     )
-    free_at = [-math.inf] * config.registration_desks  # heap of the times desks free up
+    # heap of the times desks free up; a desk beyond the arrival count is never taken
+    free_at = [-math.inf] * min(config.registration_desks, len(arrivals))
     started, unregistered = [], 0
     for t, patient in arrivals:
         if t < free_at[0] and free_at[0] >= config.session_minutes:
             unregistered += 1
             continue
-        end = max(t, free_at[0]) + draw()
+        end = min(max(t, free_at[0]) + draw(), sys.float_info.max)  # an overflow ends after closing
         heapq.heapreplace(free_at, end)
         started.append((end, len(started), patient))
     started.sort()
@@ -486,7 +491,7 @@ class _Session:
             session_minutes=cfg.session_minutes,
             served_count=len(served),
             unserved_count=n - len(served),
-            throughput_per_hour=len(served) / (cfg.session_minutes / 60.0),
+            throughput_per_hour=len(served) / (cfg.session_minutes / 60.0) if served else 0.0,
             avg_wait=_mean(reg_waits),
             median_wait=float(np.median(reg_waits)) if len(reg_waits) else None,
             p95_wait=float(np.percentile(reg_waits, 95)) if len(reg_waits) else None,

@@ -1,6 +1,7 @@
 """Shared exception types and the number check config fields share."""
 
 import numbers
+import sys
 
 
 class ValidationError(ValueError):
@@ -9,8 +10,9 @@ class ValidationError(ValueError):
 
 
 def require_number(name: str, value) -> None:
-    """Refuse a config value that is not a real number.  Booleans are refused
-    (`true` would pass as 1), and so is NaN, which a range check written as
-    `x <= 0` lets through."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
-        raise ValidationError(f"{name} must be a number, got {value!r}")
+    """Refuse a config value that is not a finite real number: a bool (`true`
+    would pass as 1), NaN (it passes `x <= 0` but fails the test below), ±inf,
+    which JSON cannot carry, and an int beyond the float range."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")

@@ -129,32 +129,17 @@ def welch_t(a, b) -> WelchResult:
     ma, mb = float(np.mean(a)), float(np.mean(b))
     va, vb = float(np.var(a, ddof=1)), float(np.var(b, ddof=1))
     sa, sb = va / na, vb / nb
-    if sa + sb == 0.0:
+    degenerate = sa + sb == 0.0
+    if degenerate:
         # Identical constants in both groups: no evidence of difference.
         same = ma == mb
-        return WelchResult(
-            mean_a=ma,
-            mean_b=mb,
-            t_stat=0.0 if same else math.copysign(math.inf, ma - mb),
-            df=float(na + nb - 2),
-            p_value=1.0 if same else 0.0,
-            cohen_d=cohen_d(a, b),
-            n_a=na,
-            n_b=nb,
-            degenerate=True,
-        )
-    t = (ma - mb) / math.sqrt(sa + sb)
-    df = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
-    return WelchResult(
-        mean_a=ma,
-        mean_b=mb,
-        t_stat=t,
-        df=df,
-        p_value=t_sf_two_sided(t, df),
-        cohen_d=cohen_d(a, b),
-        n_a=na,
-        n_b=nb,
-    )
+        t = 0.0 if same else math.copysign(math.inf, ma - mb)
+        df, p = float(na + nb - 2), 1.0 if same else 0.0
+    else:
+        t = (ma - mb) / math.sqrt(sa + sb)
+        df = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
+        p = t_sf_two_sided(t, df)
+    return WelchResult(ma, mb, t, df, p, cohen_d(a, b), na, nb, degenerate)
 
 
 @dataclass

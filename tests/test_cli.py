@@ -1,13 +1,19 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import multiprocessing
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opdsim import cli
 from opdsim.cli import main
 from opdsim.patients import dataset_fingerprint, dataset_from_dict, dataset_to_dict
 
@@ -125,6 +131,8 @@ def test_run_invalid_config_value_exits_3(tmp_path, capsys):
         {"registration_std": False},
         {"weights": {"wait_horizon": True}},
         {"drift": {"check_interval": 0.0001}},
+        {"drift": {"history_multiplier": 10**400}},
+        {"registration_mean": 0.1, "registration_std": 0.001},
     ],
 )
 def test_run_mistyped_config_exits_3(tmp_path, capsys, config):
@@ -134,6 +142,81 @@ def test_run_mistyped_config_exits_3(tmp_path, capsys, config):
     assert "error:" in capsys.readouterr().err
 
 
+_MAX = 1.7976931348623157e308
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.integers(-3, 3), st.just(10**400), st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-1.0, 5e-324, 1e-300, 1e300, _MAX]),
+)
+_PROBABILITY = st.floats(0.0, 1.0)
+_WEIGHTS = st.tuples(*[st.floats(0.0, 1.0)] * 4).filter(lambda w: sum(w) > 0).map(
+    lambda w: dict(zip(["urgency", "acuity", "waiting", "load"], (x / sum(w) for x in w)))
+)
+# Each field drawn in its valid range, tiny and huge floats included.
+_VALID = st.fixed_dictionaries(
+    {"session_minutes": st.floats(5e-324, 60.0)},
+    optional={
+        "strategy": st.sampled_from(["fcfs", "rule_based", "agentic"]),
+        "memory_enabled": st.booleans(),
+        "drift_enabled": st.booleans(),
+        "registration_desks": st.integers(1, 10**6),
+        "registration_mean": st.floats(5e-324, _MAX),
+        "registration_std": st.floats(0.0, _MAX),
+        "drift": st.fixed_dictionaries({}, optional={
+            "check_interval": st.floats(0.1, _MAX), "p_high": _PROBABILITY,
+            "p_medium": _PROBABILITY, "p_low": _PROBABILITY,
+            "history_multiplier": st.floats(0.0, _MAX), "p_history_escalation": _PROBABILITY,
+        }),
+        "weights": st.one_of(_WEIGHTS, st.fixed_dictionaries({}, optional={
+            "wait_horizon": st.floats(5e-324, _MAX), "wait_cap": st.floats(0.0, _MAX),
+        })),
+    },
+)
+_KEYS = ["session_minutes", "strategy", "memory_enabled", "drift_enabled", "registration_desks",
+         "registration_mean", "registration_std", "drift", "weights"]
+_DRIFT_KEYS = ["check_interval", "p_high", "p_medium", "p_low", "history_multiplier",
+               "p_history_escalation"]
+_WEIGHT_KEYS = ["urgency", "acuity", "waiting", "load", "wait_horizon", "wait_cap"]
+
+
+@st.composite
+def _configs(draw):
+    """A valid config, or one with a single key set to a wrong type, an
+    out-of-range number, a non-dict section or an unknown name."""
+    config = draw(_VALID)
+    where = draw(st.sampled_from(["none", "top", "drift", "weights"]))
+    if where == "top":
+        config[draw(st.one_of(st.sampled_from(_KEYS), st.text(max_size=4)))] = draw(_JUNK)
+    elif where != "none":
+        keys = _DRIFT_KEYS if where == "drift" else _WEIGHT_KEYS
+        section = config.get(where)
+        section = dict(section) if isinstance(section, dict) else {}
+        section[draw(st.one_of(st.sampled_from(keys), st.text(max_size=4)))] = draw(_JUNK)
+        config[where] = section
+    return config
+
+
+@pytest.fixture(scope="module")
+def fuzz_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(config=_configs())
+def test_run_survives_any_config(fuzz_config_path, config):
+    # Every config file either runs or is refused with exit 3: no traceback,
+    # and the metrics written are valid JSON.
+    fuzz_config_path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--seed", "1", "--config", str(fuzz_config_path)])
+    if code == 3:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert code == 0
+        json.loads(out.getvalue(), parse_constant=pytest.fail)
+
+
 def test_run_with_nobody_served(tmp_path, capsys):
     cfg = tmp_path / "short.json"
     cfg.write_text(json.dumps({"session_minutes": 2}))
@@ -141,6 +224,23 @@ def test_run_with_nobody_served(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["avg_wait"] is None
     assert "avg wait n/a" in captured.err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"session_minutes": 5e-324}, {"registration_mean": 1.7e308, "registration_std": 1.7e308}],
+    ids=["subnormal-session", "overflowing-registration"],
+)
+def test_run_at_extreme_values_serves_nobody(tmp_path, capsys, config):
+    # A session too short to divide by and registrations that overflow to
+    # infinity both run to an empty session instead of failing.
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--seed", "1", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    metrics = json.loads(captured.out)
+    assert metrics["served_count"] == 0 and metrics["throughput_per_hour"] == 0.0
+    assert metrics["unserved_count"] == 368
 
 
 def test_run_unwritable_out_exits_4(tmp_path, capsys):
@@ -240,6 +340,35 @@ def test_invalid_seed_runs_or_target_exits_3_and_writes_nothing(tmp_path, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--strategy", "fcfs", "--runs", "1", "--workers", "0",
+         "--out-dir", "{tmp}/e"],
+        ["experiment", "--strategy", "fcfs", "--runs", "1", "--workers", "-4",
+         "--out-dir", "{tmp}/e"],
+        ["ablation", "--runs", "1", "--workers", "0", "--out-dir", "{tmp}/abl"],
+        ["ablation", "--runs", "1", "--workers", "-4", "--out-dir", "{tmp}/abl"],
+        ["calibrate", "--runs", "1", "--workers", "0", "--out", "{tmp}/drift.json"],
+        ["calibrate", "--runs", "1", "--workers", "-4", "--out", "{tmp}/drift.json"],
+        ["calibrate", "--runs", "1", "--kappas", "inf", "--out", "{tmp}/drift.json"],
+        ["calibrate", "--runs", "1", "--kappas", "1.2", "--p-hists", "0.5,2",
+         "--out", "{tmp}/drift.json"],
+    ],
+    ids=["experiment-workers-0", "experiment-workers-negative", "ablation-workers-0",
+         "ablation-workers-negative", "calibrate-workers-0", "calibrate-workers-negative",
+         "calibrate-kappa-inf", "calibrate-bad-cell"],
+)
+def test_invalid_workers_or_grid_exits_3_before_any_session(tmp_path, capsys, monkeypatch, argv):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session ran")
+
+    monkeypatch.setattr(cli, "run_session", no_session)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- experiment
 
 
@@ -331,6 +460,57 @@ def test_compare_two_arms(tmp_path, capsys):
     assert 0.0 <= float(rows[0]["p"]) <= 1.0
 
 
+@pytest.fixture(scope="module")
+def compare_dirs(tmp_path_factory):
+    """Two arms on one protocol, and a third directory on another seed ladder."""
+    root = tmp_path_factory.mktemp("compare")
+    for name, strategy, base_seed in (("a", "fcfs", 1000), ("b", "agentic", 1000),
+                                      ("other", "agentic", 2000)):
+        _experiment(root / name, strategy=strategy, runs=2, base_seed=base_seed)
+    return root
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _with_wait(waits, value):
+    return dict(waits, overall=[waits["overall"][0] + [value], *waits["overall"][1:]])
+
+
+@pytest.mark.parametrize(
+    "file, edit",
+    [
+        ("manifest.json", lambda m, other: list(m)),
+        ("manifest.json", lambda m, other: _without(m, "config")),
+        ("manifest.json", lambda m, other: _without(m, "n_runs")),
+        ("manifest.json", lambda m, other: _without(m, "compat_hash")),
+        ("manifest.json", lambda m, other: dict(m, config=["agentic"])),
+        ("waits.json", lambda w, other: _with_wait(w, "x")),
+        ("waits.json", lambda w, other: _with_wait(w, True)),
+        ("waits.json", lambda w, other: other),
+        ("waits.json", lambda w, other: dict(w, critical=w["critical"][:-1],
+                                             overall=w["overall"][:-1])),
+        ("waits.json", lambda w, other: dict(w, overall={})),
+    ],
+    ids=["manifest-list", "no-config", "no-n-runs", "no-compat-hash", "config-list",
+         "wait-string", "wait-bool", "waits-of-another-experiment", "waits-one-run-short",
+         "waits-not-lists"],
+)
+def test_compare_refuses_mismatched_inputs(tmp_path, capsys, compare_dirs, file, edit):
+    # compare reads both directories through one reader: a manifest without the
+    # fields it uses, or waits that are not this manifest's runs, exit 3.
+    d = tmp_path / "b"
+    shutil.copytree(compare_dirs / "b", d)
+    other = json.loads((compare_dirs / "other" / file).read_text())
+    (d / file).write_text(json.dumps(edit(json.loads((d / file).read_text()), other)))
+    out = tmp_path / "cmp.csv"
+    for dirs in ([compare_dirs / "a", d], [d, compare_dirs / "a"]):
+        assert main(["compare", *map(str, dirs), "--out", str(out)]) == 3
+        assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_refuses_unequal_run_counts(tmp_path, capsys):
     da, db = tmp_path / "a", tmp_path / "b"
     _experiment(da, strategy="fcfs", runs=2)
@@ -397,6 +577,22 @@ def test_calibrate_picks_cell_and_writes_fragment(tmp_path, capsys):
     fragment = json.loads(frag.read_text())
     assert fragment["drift"]["history_multiplier"] == 1.2
     assert fragment["drift"]["p_history_escalation"] == 0.145
+
+
+def test_calibrate_runs_a_repeated_value_once(capsys, monkeypatch):
+    sessions = []
+    run_session = cli.run_session
+
+    def counted(*args, **kwargs):
+        sessions.append(args)
+        return run_session(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_session", counted)
+    assert main(["calibrate", "--kappas", "1.2,1.2", "--p-hists", "0.5,0.5,0.5",
+                 "--runs", "1"]) == 0
+    table = capsys.readouterr().out.splitlines()[1:]
+    assert len(table) == 1 and table[0].endswith("<-- chosen")
+    assert len(sessions) == 1
 
 
 def test_calibrate_empty_grid_exits_3(capsys):

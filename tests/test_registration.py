@@ -9,6 +9,7 @@ and the late and never-registered counts.
 
 import heapq
 import itertools
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -113,6 +114,23 @@ def test_stage_matches_event_driven_desks(arrivals_by_seed, seed):
             registration_desks=desks, registration_mean=0.3, registration_std=0.0
         )
         _check(arrivals, seed, config)
+
+
+def test_desks_beyond_the_arrivals_allocate_nothing(arrivals_by_seed):
+    # A desk that no arrival reaches is never taken, so a desk count from a
+    # config file neither sizes an allocation nor changes the output.
+    arrivals = arrivals_by_seed[1000]
+    tracemalloc.start()
+    try:
+        huge = registration_stage(
+            arrivals, _stream(1000, 2), StrategyConfig(registration_desks=10**7)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    exact = StrategyConfig(registration_desks=len(arrivals))
+    assert huge == registration_stage(arrivals, _stream(1000, 2), exact)
 
 
 def test_stage_same_time_rules(dataset42):
