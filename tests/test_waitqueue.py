@@ -527,3 +527,144 @@ def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, 
     assert (n_memory > 0) == (memory_enabled and p_history > 0)
     while len(ref):
         assert fast.dequeue_next().patient_id == _reference_pop(ref).patient_id
+
+
+# ---------------------------------------------------------------- pool edges
+
+
+def _twins(entries):
+    """A pool under test and a reference twin holding deep copies."""
+    fast, ref = AdaptiveQueue(), AdaptiveQueue()
+    for e in entries:
+        fast.enqueue(e)
+        ref.enqueue(copy.deepcopy(e))
+    return fast, ref
+
+
+def _assert_same_pool(fast, ref):
+    assert [e.patient_id for e in fast.entries()] == [e.patient_id for e in ref.entries()]
+    for a, b in zip(fast.entries(), ref.entries()):
+        assert (a.current_urgency, a.current_acuity, a.level_entry_time, a.priority.hex()) == (
+            b.current_urgency, b.current_acuity, b.level_entry_time, b.priority.hex())
+
+
+def _sweep_twins(fast, ref, backends, t, history, loads):
+    got = fast.reassess_tick(t, backends[0], history, True, loads.__getitem__)
+    want = _reference_tick(ref, t, backends[1], history, True, loads.__getitem__)
+    assert got == want
+    assert backends[0].rng.bit_generator.state == backends[1].rng.bit_generator.state
+    _assert_same_pool(fast, ref)
+
+
+def _pop_twins(fast, ref, desk=None):
+    got = fast.dequeue_next(desk).patient_id
+    assert got == _reference_pop(ref, desk).patient_id
+    _assert_same_pool(fast, ref)
+    return got
+
+
+def test_pool_past_64_and_128_entries_matches_reference(dataset42):
+    # The pool's storage grows in steps; sweeps and pooled dequeues on each
+    # side of 64 and 128 entries must agree with the reference.
+    patients, history = dataset42
+    rng = np.random.default_rng(11)
+    cohort = iter(patients[i] for i in rng.permutation(len(patients)))
+    params = DriftParams(p_low=0.1, p_medium=0.3, p_high=0.05, p_history_escalation=0.5)
+    backends = (_backend(params, 11), _backend(params, 11))
+    loads = dict(zip(DESKS, (0.0, 0.25, 0.5, 1.0)))
+    fast, ref = AdaptiveQueue(), AdaptiveQueue()
+    t, sizes = 0.0, []
+    for batch, pops in ((70, 3), (70, 5), (60, 4)):
+        for _ in range(batch):
+            t += 0.05
+            e = _random_entry(rng, next(cohort), history, t)
+            fast.enqueue(e)
+            ref.enqueue(copy.deepcopy(e))
+        sizes.append(len(fast))
+        t += 1.0
+        _sweep_twins(fast, ref, backends, t, history, loads)
+        for _ in range(pops):
+            _pop_twins(fast, ref)
+    assert sizes[0] > 64 and max(sizes) > 128
+    while len(ref):
+        _pop_twins(fast, ref)
+
+
+def test_exact_priority_ties_go_to_enqueue_time_then_id():
+    # Five entries share one priority: earliest enqueue first, then id.
+    entries = [
+        _ranked(pid, t, 0.5)
+        for pid, t in [("P0005", 3.0), ("P0004", 1.0), ("P0001", 2.0), ("P0003", 1.0), ("P0002", 1.0)]
+    ]
+    entries.insert(2, _ranked("P0009", 9.0, 0.75))
+    fast, ref = _twins(entries)
+    order = [_pop_twins(fast, ref) for _ in range(len(entries))]
+    assert order == ["P0009", "P0002", "P0003", "P0004", "P0001", "P0005"]
+
+
+def test_sweep_made_ties_go_to_enqueue_time_then_id():
+    # Same level, acuity and desk: once every wait term has saturated, a
+    # sweep gives the entries the same priority, whatever they held before.
+    spec = [("P0006", 4.0), ("P0005", 0.0), ("P0004", 2.0), ("P0003", 0.0), ("P0002", 2.0)]
+    entries = [
+        _ranked(pid, t, 0.1 * k, urgency=UrgencyLevel.MEDIUM, acuity=5, physician="D1")
+        for k, (pid, t) in enumerate(spec)
+    ]
+    entries.append(_ranked("P0001", 1.0, 0.0, urgency=UrgencyLevel.HIGH, acuity=7, physician="D2"))
+    fast, ref = _twins(entries)
+    backends = (_backend(NEVER_DRIFT), _backend(NEVER_DRIFT))
+    _sweep_twins(fast, ref, backends, 200.0, {}, {"D1": 0.5, "D2": 0.5})
+    tied = [e.priority for e in fast.entries() if e.assigned_physician == "D1"]
+    assert len(set(tied)) == 1 and len(tied) == 5
+    order = [_pop_twins(fast, ref) for _ in range(len(entries))]
+    assert order == ["P0001", "P0003", "P0005", "P0002", "P0004", "P0006"]
+
+
+def test_per_desk_dequeue_after_pooled_dequeue(dataset42):
+    # A pooled dequeue and a sweep build the pool's columns; per-desk
+    # dequeues, enqueues and sweeps after that must still agree.
+    patients, history = dataset42
+    rng = np.random.default_rng(5)
+    cohort = iter(patients[i] for i in rng.permutation(len(patients)))
+    params = DriftParams(p_low=0.2, p_medium=0.5, p_high=0.1, p_history_escalation=0.5)
+    backends = (_backend(params, 5), _backend(params, 5))
+    loads = dict(zip(DESKS, (0.5, 0.0, 1.0, 0.25)))
+    fast, ref = _twins([_random_entry(rng, next(cohort), history, 0.1 * k) for k in range(20)])
+    _pop_twins(fast, ref)
+    for step in range(6):
+        _sweep_twins(fast, ref, backends, 5.0 * (step + 1), history, loads)
+        for desk in DESKS[: 2 + step % 3]:
+            if any(e.assigned_physician == desk for e in ref.entries()):
+                _pop_twins(fast, ref, desk)
+        e = _random_entry(rng, next(cohort), history, 5.0 * (step + 1))
+        fast.enqueue(e)
+        ref.enqueue(copy.deepcopy(e))
+        _pop_twins(fast, ref)
+    while len(ref):
+        _pop_twins(fast, ref)
+
+
+@pytest.mark.parametrize("first_pop_desk", [None, "D1"])
+def test_reenqueue_of_a_dequeued_id(first_pop_desk):
+    # An id may return to the pool once it has left it; the new entry is
+    # ranked as the newest, and the old one leaves no trace.
+    fast, ref = _twins([
+        _ranked("P0001", 0.0, 0.9, physician="D1"),
+        _ranked("P0002", 1.0, 0.4, physician="D2"),
+        _ranked("P0003", 2.0, 0.4, physician="D1"),
+    ])
+    assert _pop_twins(fast, ref, first_pop_desk) == "P0001"
+    with pytest.raises(ValidationError):
+        fast.enqueue(_ranked("P0002", 3.0, 0.1))
+    back = _ranked("P0001", 3.0, 0.4, physician="D2")
+    fast.enqueue(back)
+    ref.enqueue(copy.deepcopy(back))
+    _assert_same_pool(fast, ref)
+    assert [_pop_twins(fast, ref) for _ in range(3)] == ["P0002", "P0003", "P0001"]
+    backends = (_backend(NEVER_DRIFT), _backend(NEVER_DRIFT))
+    again = _ranked("P0001", 4.0, 0.0, physician="D1")
+    fast.enqueue(again)
+    ref.enqueue(copy.deepcopy(again))
+    _sweep_twins(fast, ref, backends, 10.0, {}, {"D1": 0.0, "D2": 0.0})
+    assert _pop_twins(fast, ref) == "P0001"
+    assert len(fast) == 0
