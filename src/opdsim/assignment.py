@@ -12,6 +12,7 @@ Three assignment policies share one roster model:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -103,17 +104,17 @@ def assign_scored(patient: Patient, roster: list[Physician]) -> Physician:
     One pass: the longest queue is read once, and each total is summed in
     `AssignmentScore`'s order, so the scores are the same floats.
     """
-    max_queue = max(1, max(p.queue_length for p in roster))
-
-    def key(p: Physician):
+    max_queue = max(1, max([p.queue_length for p in roster]))
+    best, best_total = None, -math.inf
+    for p in roster:
         total = (
             W_SPECIALTY * _specialty_match(patient, p)
             + W_LOAD * (1.0 - p.queue_length / max_queue)
             + W_AVAILABILITY * (1.0 if p.status is PhysicianStatus.IDLE else 0.0)
         )
-        return -total, p.physician_id
-
-    return min(roster, key=key)
+        if total > best_total or (total == best_total and p.physician_id < best.physician_id):
+            best, best_total = p, total
+    return best
 
 
 def assign(

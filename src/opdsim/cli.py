@@ -482,7 +482,9 @@ def cmd_calibrate(args) -> int:
     print("kappa  p_hist  escalations  critical  distance")
     for row in rows:
         mark = "  <-- chosen" if row is best else ""
-        print("{:5.2f}  {:6.3f}  {:11.1f}  {:8.2f}  {:8.4f}".format(*row[:5]) + mark)
+        # repr is the shortest text that reads back as the same float, so
+        # distinct cells never print alike.
+        print("{!r:>5}  {!r:>6}  {:11.1f}  {:8.2f}  {:8.4f}".format(*row[:5]) + mark)
     if args.out:
         _atomic_write_json(Path(args.out), {"drift": best[5].to_dict()})
         print(f"wrote {args.out}")

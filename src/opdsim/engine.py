@@ -270,8 +270,12 @@ class _Session:
         self.consult_z = _normals(_stream(seed, _STREAM_CONSULT))
 
         self.queue = AdaptiveQueue(config.weights)
+        self.strategy = config.strategy.value
+        self.pooled = config.strategy is Strategy.AGENTIC
         self.late_registrations = 0
         self.rr_cursor = 0
+        self.longest = 1  # max(1, longest desk queue), for load_of in the pooled arm
+        self.idle = len(roster)  # rooms without a consult
 
         self.heap: list = []  # consult ends and reassessment ticks
         self._seq = itertools.count()
@@ -299,8 +303,7 @@ class _Session:
             )
 
     def load_of(self, physician_id: str) -> float:
-        longest = max(1, max(p.queue_length for p in self.roster))
-        return self.by_id[physician_id].queue_length / longest
+        return self.by_id[physician_id].queue_length / self.longest
 
     # -- handlers ---------------------------------------------------------
 
@@ -321,14 +324,15 @@ class _Session:
             current_acuity=acuity,
             memory_available=patient.has_history and patient.patient_id in self.history,
         )
-        physician = assign(patient, self.roster, self.config.strategy.value, self.rr_cursor)
+        physician = assign(patient, self.roster, self.strategy, self.rr_cursor)
         self.rr_cursor += 1  # only round-robin reads it
         entry.assigned_physician = physician.physician_id
         physician.queue_length += 1
         # The pool serves the highest priority first, so the priority is the
         # strategy's rank: the composite score, the presenting class, or (for
-        # fcfs) nothing, which leaves enqueue order.
-        if self.config.strategy is Strategy.AGENTIC:
+        # fcfs) nothing, which leaves enqueue order.  Only agentic reads loads.
+        if self.pooled:
+            self.longest = max(self.longest, physician.queue_length)
             entry.priority = priority_score(
                 entry, t, self.load_of(physician.physician_id), self.config.weights
             )
@@ -346,8 +350,8 @@ class _Session:
             memory_enabled=self.config.memory_enabled,
             load_of=self.load_of,
         )
-        for ev in events:
-            self.escalations.append(ev)
+        self.escalations += events
+        for ev in events if self.collect_trace else ():  # no details to format otherwise
             self.record(t, "escalation", ev.patient_id, detail=f"{ev.from_level.value}->{ev.to_level.value}:{ev.cause}")
         if events:
             self.dispatch_due = True
@@ -365,18 +369,22 @@ class _Session:
         # (token counters / specialty rooms).  The agentic orchestrator
         # instead hands whichever room frees up the highest-priority patient
         # in the shared pool; its assignment feeds the load-score terms only.
-        pooled = self.config.strategy is Strategy.AGENTIC
+        pooled = self.pooled
         for physician in self.roster:
             if physician.status is not PhysicianStatus.IDLE:
                 continue
             if (len(self.queue) if pooled else physician.queue_length) == 0:
                 continue
             entry = self.queue.dequeue_next(None if pooled else physician.physician_id)
-            self.by_id[entry.assigned_physician].queue_length -= 1
+            desk = self.by_id[entry.assigned_physician]
+            desk.queue_length -= 1
+            if pooled and desk.queue_length + 1 == self.longest:  # a longest desk shrank
+                self.longest = max(1, max(p.queue_length for p in self.roster))
             self._start_consult(t, physician, entry)
 
     def _start_consult(self, t: float, physician: Physician, entry: QueueEntry):
         physician.status = PhysicianStatus.BUSY
+        self.idle -= 1
         mean, std = CONSULT_PARAMS[entry.current_urgency]
         dur = _positive_normal(self.consult_z, mean, std, CONSULT_MIN)
         visit = ServedVisit(
@@ -397,6 +405,7 @@ class _Session:
 
     def on_consult_end(self, t: float, physician: Physician):
         physician.status = PhysicianStatus.IDLE
+        self.idle += 1
         self.record(t, "consult_end", physician_id=physician.physician_id)
         self.dispatch_due = True
 
@@ -430,7 +439,8 @@ class _Session:
             t_heap = heap[0][0] if heap else math.inf
             if self.dispatch_due and t < min(t_heap, t_reg, t_arr):
                 self.dispatch_due = False
-                self.on_dispatch(t)
+                if self.idle:
+                    self.on_dispatch(t)
             elif t_heap <= t_reg and t_heap <= t_arr:
                 if t_heap == math.inf:
                     break
@@ -454,37 +464,41 @@ class _Session:
         cfg = self.config
         served = self.served
         n = len(self.patients)
-        served_ids = {v.patient_id for v in served}
+        # One row per visit, in consult-start order.  Each per-level figure
+        # takes its visits by mask, so np.mean sums them in that order.
+        rows = [
+            (v.patient_id, v.physician_id, v.consult_start - v.registered_at,
+             v.consult_start - v.level_entered_at, v.face_urgency.rank,
+             v.effective_urgency.rank, v.required_specialty == v.physician_specialty)
+            for v in served
+        ]
+        ids, physicians, reg_waits, level_waits, face, effective, matched = list(zip(*rows)) or [()] * 7
         waiting = self.queue.entries()
         # Every patient ends served, pooled, unregistered, or registered
         # after closing.
         accounted = len(served) + len(waiting) + self.unregistered + self.late_registrations
-        if accounted != n or len(served_ids) != len(served):
+        if accounted != n or len(set(ids)) != len(served):
             raise ValidationError(f"patient accounting is inconsistent: {accounted} of {n}")
-
-        # One entry per visit, in consult-start order.  Each per-level figure
-        # takes its visits by mask, so np.mean sums them in that order.
-        reg_waits = np.array([v.wait_from_registration for v in served])
-        level_waits = np.array([v.wait_from_level_entry for v in served])
-        face = np.array([v.face_urgency.rank for v in served], dtype=np.intp)
-        effective = np.array([v.effective_urgency.rank for v in served], dtype=np.intp)
-        crit_waits = level_waits[effective == UrgencyLevel.CRITICAL.rank]
 
         # Each patient's final rank: at consult if served, current if still
         # waiting, else as presented.
         final = {p.patient_id: p.face_urgency.rank for p in self.patients}
-        final.update(zip((v.patient_id for v in served), effective.tolist()))
+        final.update(zip(ids, effective))
         final.update((e.patient_id, e.current_urgency.rank) for e in waiting)
         counts = np.bincount(list(final.values()), minlength=len(UrgencyLevel)).tolist()
         if sum(counts) != n:
             raise ValidationError("composition does not cover the cohort")
         composition = {lvl.value: counts[lvl.rank] for lvl in UrgencyLevel}
 
+        reg_waits, level_waits = np.array(reg_waits, float), np.array(level_waits, float)
+        face, effective = np.array(face, np.intp), np.array(effective, np.intp)
+        crit_waits = level_waits[effective == UrgencyLevel.CRITICAL.rank]
+
         def _mean(x) -> float | None:
             return float(np.mean(x)) if len(x) else None
 
         causes = collections.Counter(e.cause for e in self.escalations)
-        per_physician = collections.Counter(v.physician_id for v in served)
+        per_physician = collections.Counter(physicians)
         metrics = SessionMetrics(
             strategy=cfg.strategy.value,
             seed=self.seed,
@@ -509,7 +523,7 @@ class _Session:
             memory_escalation_count=causes[CAUSE_MEMORY],
             escalation_count=causes[CAUSE_DRIFT] + causes[CAUSE_MEMORY],
             final_composition=composition,
-            specialty_match_rate=_mean([v.specialty_matched for v in served]),
+            specialty_match_rate=_mean(matched),
             per_physician_served={pid: per_physician[pid] for pid in self.by_id},
         )
         return SessionResult(

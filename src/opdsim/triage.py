@@ -133,7 +133,7 @@ class CalibratedTriageBackend:
         for `assess_drift`.  One uniform is drawn per patient, in order, which
         reads the stream exactly as that many scalar calls would.
         """
-        if len(ranks) and ranks.max() >= UrgencyLevel.CRITICAL.rank:
+        if len(ranks) and ranks[ranks.argmax()] >= UrgencyLevel.CRITICAL.rank:  # the highest rank
             raise ValidationError("critical patients do not drift further")
-        p = self._drift_table[ranks, has_history.astype(np.intp)]
+        p = self._drift_table[ranks, has_history.view(np.int8)]  # bools as 0/1, no copy
         return self.rng.random(len(ranks)) < p

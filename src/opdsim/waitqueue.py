@@ -33,20 +33,18 @@ WAIT_TERM_CAP = 0.3
 CAUSE_DRIFT = "drift"
 CAUSE_MEMORY = "memory"
 
-_U_SCORE = np.array([lvl.u_score for lvl in UrgencyLevel])
 _CRITICAL = UrgencyLevel.CRITICAL.rank
-# One pool row; see AdaptiveQueue.
-_ROW = np.dtype(
-    [
-        ("rank", np.intp),
-        ("acuity", np.float64),
-        ("enqueued", np.float64),
-        ("desk", np.intp),
-        ("priority", np.float64),
-        ("memory", np.bool_),
-    ],
-    align=True,
-)
+# The pool's slot table (see AdaptiveQueue): one array per column.
+_COLUMNS = {
+    "_rank": np.intp,  # current level
+    "_level_terms": np.float64,  # the urgency and acuity terms of the priority
+    "_enqueued": np.float64,
+    "_desk": np.intp,  # code of the assigned desk
+    "_priority": np.float64,
+    "_memory": np.bool_,  # history record visible
+    "_chart": np.bool_,  # the record's rule may still raise the level
+    "_live": np.bool_,
+}
 
 
 @dataclass(frozen=True)
@@ -163,20 +161,23 @@ def _escalate(
 class AdaptiveQueue:
     """Waiting pool keyed by patient id, insertion-ordered.
 
-    Sweeps and pooled dequeues work on columns: one row per entry, in pool
-    order, holding its rank, acuity, enqueue time, desk code, memory flag
-    and priority.  The columns are built at the first sweep or pooled
-    dequeue and kept in step from then on.  A per-desk dequeue drops them,
-    to be rebuilt at the next use, so the token arms, which only dequeue per
-    desk, never build them.  An entry's level, acuity and `priority` are
-    read when its row is written; after that only sweeps change them.
+    Sweeps and pooled dequeues work on a slot table: one slot per enqueue,
+    in enqueue order, and one array per column (see `_COLUMNS`).  The table
+    is built at the first sweep or pooled dequeue and kept in step from then
+    on, so the token arms, which only dequeue per desk, never build it.  A
+    dequeued slot is marked dead and never moved: its rank reads critical,
+    so no sweep checks it, and its enqueue time and priority read -inf, so
+    no dequeue takes it.  Live slots are thus in the order of `_entries`.
+    An entry's level, acuity and `priority` are read when its slot is
+    written; after that only sweeps change them.
     """
 
     def __init__(self, weights: PriorityWeights | None = None):
         self.weights = weights or PriorityWeights()
         self._entries: dict[str, QueueEntry] = {}
-        self._rows: list[QueueEntry] | None = None  # None: no columns
-        self._cols = np.empty(0, _ROW)
+        self._rows: list[QueueEntry | None] | None = None  # by slot; None: no table
+        for name, dtype in _COLUMNS.items():
+            setattr(self, name, np.empty(0, dtype))
         self._desk_codes: dict[str | None, int] = {}
 
     def __len__(self) -> int:
@@ -193,28 +194,41 @@ class AdaptiveQueue:
             self._put(entry)
 
     def _put(self, entry: QueueEntry) -> None:
-        n = len(self._rows)
-        if n == len(self._cols):
-            grown = np.empty(max(2 * n, 64), _ROW)
-            grown[:n] = self._cols
-            self._cols = grown
-        self._cols[n] = (
-            entry.current_urgency.rank,
-            entry.current_acuity,
-            entry.enqueue_time,
-            self._desk_codes.setdefault(entry.assigned_physician, len(self._desk_codes)),
-            entry.priority,
-            entry.memory_available,
-        )
+        i = len(self._rows)
+        if i == len(self._live):
+            for name in _COLUMNS:
+                col = getattr(self, name)
+                setattr(self, name, np.concatenate((col, np.empty(max(i, 64), col.dtype))))
+        self._rank[i] = entry.current_urgency.rank
+        self._level_terms[i] = self._level_terms_of(entry)
+        self._enqueued[i] = entry.enqueue_time
+        self._desk[i] = self._desk_codes.setdefault(entry.assigned_physician, len(self._desk_codes))
+        self._priority[i] = entry.priority
+        self._memory[i] = self._chart[i] = entry.memory_available
+        self._live[i] = True
         self._rows.append(entry)
 
-    def _columns(self) -> np.ndarray:
-        """The pool's rows, building them first if they were dropped."""
+    def _level_terms_of(self, entry: QueueEntry) -> float:
+        """`priority_score`'s first two terms; the sweep adds the rest in order."""
+        w = self.weights
+        return w.urgency * entry.current_urgency.u_score + w.acuity * (entry.current_acuity / 10.0)
+
+    def _kill(self, i: int) -> QueueEntry:
+        """Take slot `i`'s entry out of the pool and mark the slot dead."""
+        entry = self._rows[i]
+        self._rows[i] = None
+        self._rank[i] = _CRITICAL
+        self._enqueued[i] = self._priority[i] = -np.inf
+        self._live[i] = False
+        return self._entries.pop(entry.patient_id)
+
+    def _table(self) -> int:
+        """The number of slots, building the table first if there is none."""
         if self._rows is None:
             self._rows = []
             for entry in self._entries.values():
                 self._put(entry)
-        return self._cols[: len(self._rows)]
+        return len(self._rows)
 
     def dequeue_next(self, physician_id: str | None = None) -> QueueEntry:
         """Pop the highest-priority entry for `physician_id` (or globally if
@@ -226,19 +240,20 @@ class AdaptiveQueue:
             if not pool:
                 raise ValidationError(f"no waiting entries assigned to {physician_id}")
             best = min(pool, key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
-            self._rows = None
-            return self._entries.pop(best.patient_id)
+            if self._rows is None:
+                return self._entries.pop(best.patient_id)
+            return self._kill(next(i for i, e in enumerate(self._rows) if e is best))
         if not self._entries:
             raise ValidationError("dequeue from empty queue")
-        cols = self._columns()
-        rows = self._rows
-        priority = cols["priority"]
+        n = self._table()
+        priority = self._priority[:n]
         i = int(priority.argmax())
-        tied = np.flatnonzero(priority == priority[i])
-        if len(tied) > 1:
-            i = min(tied.tolist(), key=lambda j: (rows[j].enqueue_time, rows[j].patient_id))
-        cols[i:-1] = cols[i + 1 :]
-        return self._entries.pop(rows.pop(i).patient_id)
+        top = priority[i]
+        # argmax takes the first maximum, so a tie lies after it; a[a.argmax()] is a cheap a.max().
+        if i + 1 < n and priority[i + 1 + priority[i + 1 :].argmax()] == top:
+            tied = ((priority == top) & self._live[:n]).nonzero()[0].tolist()
+            i = min(tied, key=lambda j: (self._rows[j].enqueue_time, self._rows[j].patient_id))
+        return self._kill(i)
 
     def reassess_tick(
         self,
@@ -257,74 +272,71 @@ class AdaptiveQueue:
         drift this sweep.  Otherwise run one deterioration check — critical
         patients are already at ceiling and are never checked.
         `load_of(physician_id)` supplies normalised desk load for the priority
-        refresh applied to every entry at the end; it is asked once per desk.
+        refresh applied to every entry at the end; it is asked once per desk
+        the pool has seen.
 
         Every check draws one uniform from the backend's stream, in pool
         order.  The drift checks between two chart checks are drawn as one
         block; an entry whose chart check misses heads the next block, so
         the stream is read in the same order as one check at a time.
         """
-        cols = self._columns()
-        if not len(cols):
+        if not self._entries:
             return []
+        n = self._table()
         rows = self._rows
-        rank = cols["rank"]
-        enqueued = cols["enqueued"]
-        if now < enqueued.max():
+        rank, level_terms, enqueued = self._rank[:n], self._level_terms[:n], self._enqueued[:n]
+        if now < enqueued[enqueued.argmax()]:  # the latest enqueue
             raise ValidationError(f"reassessment at t={now} precedes an enqueue")
-        # The rows that may drift, in pool order, with the level and history
-        # visibility their checks read.  Only a row's own check changes its
-        # level, so these are read once, before any check.
-        drifting = np.flatnonzero(rank < _CRITICAL)
+        # The live slots that may drift, in pool order, with the level and
+        # history visibility their checks read.  Only a slot's own check
+        # changes its level, so these are read once, before any check.
+        drifting = (rank < _CRITICAL).nonzero()[0]
         drift_rows = drifting.tolist()
         drift_ranks = rank[drifting]
-        drift_visible = cols["memory"][drifting] & memory_enabled
+        drift_visible = self._memory[drifting] & memory_enabled
         events: list[EscalationEvent] = []
 
         def escalate(i: int, target: UrgencyLevel, cause: str, reason: str) -> None:
             events.append(_escalate(rows[i], now, target, cause, reason))
             rank[i] = target.rank
-            cols["acuity"][i] = rows[i].current_acuity
+            level_terms[i] = self._level_terms_of(rows[i])
 
         def drift(start: int, stop: int) -> None:
             if start == stop:
                 return
             fired = backend.assess_drift_batch(drift_ranks[start:stop], drift_visible[start:stop])
-            for k in np.flatnonzero(fired).tolist():
+            for k in fired.nonzero()[0].tolist():
                 i = drift_rows[start + k]
                 level = rows[i].current_urgency.next_higher()
                 escalate(i, level, CAUSE_DRIFT, "deterioration while waiting")
 
+        # A slot's chart check is pending until its level reaches the rule's
+        # target.  Levels only rise and records do not change, so a settled
+        # slot is never asked again.
         start = 0  # first drift row not yet checked
-        for pos in np.flatnonzero(drift_visible).tolist():
-            entry = rows[drift_rows[pos]]
+        for pos in self._chart[drifting].nonzero()[0].tolist() if memory_enabled else ():
+            i = drift_rows[pos]
+            entry = rows[i]
             record = history.get(entry.patient_id)
             if record is None or record.escalation_rule.target.rank <= entry.current_urgency.rank:
+                self._chart[i] = False
                 continue
             drift(start, pos)
             rule = backend.assess_history_escalation(entry.patient, record)
             if rule is None:
                 start = pos
             else:
-                escalate(drift_rows[pos], rule.target, CAUSE_MEMORY, rule.reason)
+                escalate(i, rule.target, CAUSE_MEMORY, rule.reason)
                 start = pos + 1
         drift(start, len(drift_rows))
 
-        # priority_score for every row, term by term in the same order.
+        # priority_score for every slot, term by term in the same order.
         w = self.weights
-        desk = cols["desk"]
-        desks = list(self._desk_codes)
-        load_term = np.zeros(len(desks))
-        for code in np.flatnonzero(np.bincount(desk)).tolist():
-            load_term[code] = 1.0 - min(max(load_of(desks[code]), 0.0), 1.0)
+        load = np.array([w.load * (1.0 - min(max(load_of(d), 0.0), 1.0)) for d in self._desk_codes])
         wait_term = w.wait_cap * np.minimum((now - enqueued) / w.wait_horizon, 1.0)
-        priority = (
-            w.urgency * _U_SCORE[rank]
-            + w.acuity * (cols["acuity"] / 10.0)
-            + w.waiting * wait_term
-            + w.load * load_term[desk]
-        )
-        cols["priority"] = priority
-        for entry, p in zip(rows, priority.tolist()):
+        priority = level_terms + w.waiting * wait_term + load[self._desk[:n]]
+        live = self._live[:n]
+        np.copyto(self._priority[:n], priority, where=live)  # dead slots keep -inf
+        for entry, p in zip(self._entries.values(), priority[live].tolist()):
             entry.priority = p
         return events

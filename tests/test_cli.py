@@ -595,6 +595,21 @@ def test_calibrate_runs_a_repeated_value_once(capsys, monkeypatch):
     assert len(sessions) == 1
 
 
+def test_calibrate_prints_distinct_cells_apart(tmp_path, capsys):
+    # Two decimals used to print kappa 1.0 and 1.0001 as the same "1.00"
+    # row; the table must tell which cell the fragment holds.
+    frag = tmp_path / "drift.json"
+    assert main(["calibrate", "--runs", "1", "--kappas", "1.0,1.0001", "--p-hists", "0.5",
+                 "--out", str(frag)]) == 0
+    table = capsys.readouterr().out.splitlines()[1:3]
+    cells = [row.split()[:2] for row in table]
+    assert cells == [["1.0", "0.5"], ["1.0001", "0.5"]]
+    assert sum(row.endswith("<-- chosen") for row in table) == 1
+    chosen = next(cells[k] for k, row in enumerate(table) if row.endswith("<-- chosen"))
+    drift = json.loads(frag.read_text())["drift"]
+    assert [float(x) for x in chosen] == [drift["history_multiplier"], drift["p_history_escalation"]]
+
+
 def test_calibrate_empty_grid_exits_3(capsys):
     assert main(["calibrate", "--kappas", "", "--runs", "2"]) == 3
     assert "error:" in capsys.readouterr().err

@@ -5,6 +5,7 @@ per-layer metrics or the experiment `session_ms_*` go missing.  These tests
 make such a rename fail the suite instead.
 """
 
+import collections
 import importlib.util
 from pathlib import Path
 
@@ -39,39 +40,70 @@ def test_experiment_session_hooks_exist():
     assert callable(cli._run_many)
 
 
-def test_triage_spans_count_a_session(dataset42, monkeypatch):
-    # Wrap the triage targets on their class, as perfbench does, so that the
-    # `triage.*` per-layer metrics cannot silently read 0.
+def _count_targets(monkeypatch, wanted) -> collections.Counter:
+    """Wrap each TARGETS entry whose span name passes `wanted` on its owner,
+    as perfbench does, with a counter; returns the counts by span name."""
     tracing = _tracing()
-    calls = {}
+    calls = collections.Counter()
     for module, path, name, _kind in tracing.TARGETS:
-        if not name.startswith("triage."):
+        if not wanted(name):
             continue
         owner, attr = tracing._resolve(module, path)
 
         def counting(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
+            calls[_name] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counting)
+    return calls
+
+
+def _agentic_session(dataset42):
+    patients, history = dataset42
+    res = run_session(
+        patients, history, StrategyConfig(strategy="agentic"), seed=1, collect_trace=True
+    )
+    events = collections.Counter(row["event"] for row in res.trace)
+    assert events["enqueue"] > 0 and events["consult_start"] > 0
+    return events
+
+
+def test_triage_spans_count_a_session(dataset42, monkeypatch):
+    # Wrap the triage targets on their class, as perfbench does, so that the
+    # `triage.*` per-layer metrics cannot silently read 0.
+    calls = _count_targets(monkeypatch, lambda name: name.startswith("triage."))
     # Sweeps draw drift checks in blocks, through a method TARGETS does not
     # name, so the scalar `triage.assess_drift` reads 0 on a session.
     batch = CalibratedTriageBackend.assess_drift_batch
 
     def counting_batch(*args, **kwargs):
-        calls["assess_drift_batch"] = calls.get("assess_drift_batch", 0) + 1
+        calls["assess_drift_batch"] += 1
         return batch(*args, **kwargs)
 
     monkeypatch.setattr(CalibratedTriageBackend, "assess_drift_batch", counting_batch)
-    patients, history = dataset42
-    res = run_session(
-        patients, history, StrategyConfig(strategy="agentic"), seed=1, collect_trace=True
-    )
-    enqueues = sum(1 for row in res.trace if row["event"] == "enqueue")
-    assert enqueues > 0
-    assert calls["triage.triage_face_value"] == enqueues
+    events = _agentic_session(dataset42)
+    assert calls["triage.triage_face_value"] == events["enqueue"]
     assert calls["assess_drift_batch"] > 0
     assert calls["triage.assess_history_escalation"] > 0
+
+
+def test_layer_spans_count_a_session(dataset42, monkeypatch):
+    # The per-layer metrics of the pool, the assignment and the engine read
+    # these counts; folding one of these calls into its caller would make
+    # its layer read 0 without any error.
+    calls = _count_targets(monkeypatch, lambda name: not name.startswith("triage."))
+    events = _agentic_session(dataset42)
+    assert calls["assignment.assign"] == events["enqueue"]
+    assert calls["waitqueue.priority_score"] == events["enqueue"]
+    assert calls["waitqueue.enqueue"] == events["enqueue"]
+    assert calls["waitqueue.dequeue_next"] == events["consult_start"]
+    assert calls["engine.consult_start"] == events["consult_start"]
+    assert calls["waitqueue.reassess_tick"] > 0
+    assert calls["engine.load_of"] > 0
+    # `arrivals.trajectories_per_session` is sample_poisson_process's calls
+    # per sample_arrivals call.
+    assert calls["arrivals.sample_arrivals"] == 1
+    assert calls["arrivals.sample_poisson_process"] >= 1
 
 
 def test_pool_length_counts_its_entries(dataset42, monkeypatch):
