@@ -81,11 +81,14 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-def sample_poisson_process(profile: IntensityProfile, seed_or_rng) -> np.ndarray:
+def sample_poisson_process(
+    profile: IntensityProfile, seed_or_rng, *, count: int | None = None
+) -> np.ndarray | None:
     """One thinned trajectory over the profile span (sorted times, minutes).
 
     Homogeneous candidates at the peak rate are generated by exponential gaps
-    and accepted with probability λ(t)/λ_max.
+    and accepted with probability λ(t)/λ_max.  Given `count`, a trajectory
+    of any other length is drawn the same way but returned as None.
     """
     rng = _as_rng(seed_or_rng)
     lam_max = profile.lambda_max
@@ -106,6 +109,8 @@ def sample_poisson_process(profile: IntensityProfile, seed_or_rng) -> np.ndarray
 
     u = rng.random(candidates.size)
     keep = u < profile.rate(candidates) / lam_max
+    if count is not None and np.count_nonzero(keep) != count:
+        return None
     return candidates[keep]
 
 
@@ -122,8 +127,8 @@ def sample_arrivals(profile: IntensityProfile, n_patients: int, seed_or_rng) -> 
         raise ValidationError("profile integral is far from the requested count; resampling would stall")
     rng = _as_rng(seed_or_rng)
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        times = sample_poisson_process(profile, rng)
-        if times.size == n_patients:
+        times = sample_poisson_process(profile, rng, count=n_patients)
+        if times is not None:
             return times
     raise ValidationError(
         f"could not realise exactly {n_patients} arrivals in {MAX_RESAMPLE_ATTEMPTS} attempts"

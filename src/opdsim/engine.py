@@ -58,6 +58,7 @@ CONSULT_PARAMS = {
     UrgencyLevel.MEDIUM: (7.0, 2.5),
     UrgencyLevel.LOW: (5.0, 1.5),
 }
+_CONSULT_BY_RANK = tuple(CONSULT_PARAMS[level] for level in UrgencyLevel)
 CONSULT_MIN = 1.0
 
 # Same-timestamp precedence on the event heap: finish consults first so freed
@@ -340,7 +341,8 @@ class _Session:
             entry.priority = float(urgency.rank)
         self.queue.enqueue(entry)
         self.record(t, "enqueue", patient.patient_id, physician.physician_id)
-        self.dispatch_due = True
+        if (self.idle if self.pooled else physician.status is PhysicianStatus.IDLE):
+            self.dispatch_due = True  # a room can take this patient now
 
     def on_reassess(self, t: float, desk_events_ahead: bool):
         events = self.queue.reassess_tick(
@@ -353,8 +355,6 @@ class _Session:
         self.escalations += events
         for ev in events if self.collect_trace else ():  # no details to format otherwise
             self.record(t, "escalation", ev.patient_id, detail=f"{ev.from_level.value}->{ev.to_level.value}:{ev.cause}")
-        if events:
-            self.dispatch_due = True
         # With nothing else pending no patient can join the pool, so later
         # ticks would only sweep an empty one.
         nxt = t + self.config.drift.check_interval
@@ -363,17 +363,15 @@ class _Session:
             self.push(nxt, _EVT_REASSESS)
 
     def on_dispatch(self, t: float):
-        if t >= self.config.session_minutes:
-            return
-        # FCFS and rule-based patients wait at the desk they were assigned to
-        # (token counters / specialty rooms).  The agentic orchestrator
+        # Asked for only before closing, when a room can start a consult.
+        # FCFS and rule-based patients wait at the desk they were assigned
+        # to (token counters / specialty rooms).  The agentic orchestrator
         # instead hands whichever room frees up the highest-priority patient
         # in the shared pool; its assignment feeds the load-score terms only.
         pooled = self.pooled
         for physician in self.roster:
-            if physician.status is not PhysicianStatus.IDLE:
-                continue
-            if (len(self.queue) if pooled else physician.queue_length) == 0:
+            waiting = len(self.queue) if pooled else physician.queue_length
+            if physician.status is not PhysicianStatus.IDLE or not waiting:
                 continue
             entry = self.queue.dequeue_next(None if pooled else physician.physician_id)
             desk = self.by_id[entry.assigned_physician]
@@ -385,29 +383,25 @@ class _Session:
     def _start_consult(self, t: float, physician: Physician, entry: QueueEntry):
         physician.status = PhysicianStatus.BUSY
         self.idle -= 1
-        mean, std = CONSULT_PARAMS[entry.current_urgency]
-        dur = _positive_normal(self.consult_z, mean, std, CONSULT_MIN)
-        visit = ServedVisit(
-            patient_id=entry.patient_id,
-            face_urgency=entry.face_urgency,
-            effective_urgency=entry.current_urgency,
-            required_specialty=entry.patient.required_specialty.value,
-            physician_id=physician.physician_id,
-            physician_specialty=physician.specialty.value,
-            registered_at=entry.enqueue_time,
-            level_entered_at=entry.level_entry_time,
-            consult_start=t,
-            consult_end=t + dur,
-        )
-        self.served.append(visit)
-        self.record(t, "consult_start", entry.patient_id, physician.physician_id, entry.current_urgency.value)
+        level, patient = entry.current_urgency, entry.patient
+        dur = _positive_normal(self.consult_z, *_CONSULT_BY_RANK[level.rank], CONSULT_MIN)
+        # In field order; an enum's `_value_` is its `value`, read without the property.
+        self.served.append(ServedVisit(
+            patient.patient_id, entry.face_urgency, level, patient.required_specialty._value_,
+            physician.physician_id, physician.specialty._value_,
+            entry.enqueue_time, entry.level_entry_time, t, t + dur,
+        ))
+        if self.collect_trace:
+            self.record(t, "consult_start", patient.patient_id, physician.physician_id, level.value)
         self.push(t + dur, _EVT_CONSULT_END, physician)
 
     def on_consult_end(self, t: float, physician: Physician):
         physician.status = PhysicianStatus.IDLE
         self.idle += 1
         self.record(t, "consult_end", physician_id=physician.physician_id)
-        self.dispatch_due = True
+        waiting = len(self.queue) if self.pooled else physician.queue_length
+        if waiting and t < self.config.session_minutes:
+            self.dispatch_due = True  # someone can take the freed room
 
     # -- main loop --------------------------------------------------------
 
@@ -429,18 +423,19 @@ class _Session:
 
         # Merge three time-ordered sources; at equal t the heap's events come
         # first, then registrations done, then arrivals.  Dispatch runs once,
-        # after the last event at an instant that asked for it.
+        # after the last event at an instant that asked for it.  Arrivals only
+        # write trace rows, so untraced runs skip them; each one still ahead
+        # has a registration end ahead, so `t_reg` says if desks have events.
         heap = self.heap
         regs = [(math.inf, None), *reversed(regs)]  # both taken from the end
-        arrivals = [(math.inf, None), *reversed(arrivals)]
+        arrivals = [(math.inf, None), *(reversed(arrivals) if self.collect_trace else ())]
         t = -math.inf
         while True:
             t_reg, t_arr = regs[-1][0], arrivals[-1][0]
             t_heap = heap[0][0] if heap else math.inf
-            if self.dispatch_due and t < min(t_heap, t_reg, t_arr):
+            if self.dispatch_due and t < t_heap and t < t_reg and t < t_arr:
                 self.dispatch_due = False
-                if self.idle:
-                    self.on_dispatch(t)
+                self.on_dispatch(t)
             elif t_heap <= t_reg and t_heap <= t_arr:
                 if t_heap == math.inf:
                     break
@@ -448,7 +443,7 @@ class _Session:
                 if kind == _EVT_CONSULT_END:
                     self.on_consult_end(t, payload)
                 else:
-                    self.on_reassess(t, min(t_reg, t_arr) < math.inf)
+                    self.on_reassess(t, t_reg < math.inf)
             elif t_reg <= t_arr:
                 t, patient = regs.pop()
                 self.on_reg_done(t, patient)
@@ -479,6 +474,17 @@ class _Session:
         accounted = len(served) + len(waiting) + self.unregistered + self.late_registrations
         if accounted != n or len(set(ids)) != len(served):
             raise ValidationError(f"patient accounting is inconsistent: {accounted} of {n}")
+        # At close every room is idle, each desk's queue length counts its waiting
+        # entries (in the token arms' per-desk index too), and `longest` is current.
+        queues = collections.Counter(e.assigned_physician for e in waiting)
+        indexed = queues if self.pooled else {d: len(es) for d, es in self.queue.by_desk().items()}
+        lengths = [p.queue_length for p in self.roster]
+        if self.idle != len(lengths) or (self.pooled and self.longest != max(1, *lengths)) or any(
+            p.status is not PhysicianStatus.IDLE
+            or not p.queue_length == queues[p.physician_id] == indexed.get(p.physician_id, 0)
+            for p in self.roster
+        ):
+            raise ValidationError("patient accounting is inconsistent: rooms or queues at close")
 
         # Each patient's final rank: at consult if served, current if still
         # waiting, else as presented.

@@ -47,8 +47,10 @@ class UrgencyLevel(Enum):
     def next_higher(self) -> "UrgencyLevel":
         if self is UrgencyLevel.CRITICAL:
             raise ValueError("critical has no higher level")
-        return list(UrgencyLevel)[self.rank + 1]
+        return _LEVELS[self.rank + 1]
 
+
+_LEVELS = tuple(UrgencyLevel)  # by rank
 
 # Acuity (1-10) bands per urgency grade, and the band value applied when a
 # patient is escalated into a grade mid-session.

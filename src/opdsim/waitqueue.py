@@ -34,6 +34,7 @@ CAUSE_DRIFT = "drift"
 CAUSE_MEMORY = "memory"
 
 _CRITICAL = UrgencyLevel.CRITICAL.rank
+_ESCALATION_ACUITY = {level.rank: acuity for level, acuity in ESCALATION_ACUITY.items()}
 # The pool's slot table (see AdaptiveQueue): one array per column.
 _COLUMNS = {
     "_rank": np.intp,  # current level
@@ -153,7 +154,7 @@ def _escalate(
         reason=reason,
     )
     entry.current_urgency = target
-    entry.current_acuity = ESCALATION_ACUITY[target]
+    entry.current_acuity = _ESCALATION_ACUITY[target.rank]
     entry.level_entry_time = now
     return event
 
@@ -169,12 +170,14 @@ class AdaptiveQueue:
     so no sweep checks it, and its enqueue time and priority read -inf, so
     no dequeue takes it.  Live slots are thus in the order of `_entries`.
     An entry's level, acuity and `priority` are read when its slot is
-    written; after that only sweeps change them.
+    written; after that only sweeps change them.  Per-desk dequeues read a
+    per-desk index instead (`by_desk`), built at the first such dequeue.
     """
 
     def __init__(self, weights: PriorityWeights | None = None):
         self.weights = weights or PriorityWeights()
         self._entries: dict[str, QueueEntry] = {}
+        self._by_desk: dict[str | None, dict[str, QueueEntry]] | None = None  # None: no index
         self._rows: list[QueueEntry | None] | None = None  # by slot; None: no table
         for name, dtype in _COLUMNS.items():
             setattr(self, name, np.empty(0, dtype))
@@ -190,6 +193,8 @@ class AdaptiveQueue:
         if entry.patient_id in self._entries:
             raise ValidationError(f"{entry.patient_id} is already queued")
         self._entries[entry.patient_id] = entry
+        if self._by_desk is not None:
+            self._by_desk.setdefault(entry.assigned_physician, {})[entry.patient_id] = entry
         if self._rows is not None:
             self._put(entry)
 
@@ -220,7 +225,17 @@ class AdaptiveQueue:
         self._rank[i] = _CRITICAL
         self._enqueued[i] = self._priority[i] = -np.inf
         self._live[i] = False
+        if self._by_desk is not None:
+            del self._by_desk[entry.assigned_physician][entry.patient_id]
         return self._entries.pop(entry.patient_id)
+
+    def by_desk(self) -> dict[str | None, dict[str, QueueEntry]]:
+        """Waiting entries by desk, in pool order: built at the first call, then kept; read only."""
+        if self._by_desk is None:
+            self._by_desk = {}
+            for entry in self._entries.values():
+                self._by_desk.setdefault(entry.assigned_physician, {})[entry.patient_id] = entry
+        return self._by_desk
 
     def _table(self) -> int:
         """The number of slots, building the table first if there is none."""
@@ -234,15 +249,16 @@ class AdaptiveQueue:
         """Pop the highest-priority entry for `physician_id` (or globally if
         None); ties go to the earliest enqueue, then the lowest patient id."""
         if physician_id is not None:
-            # The token arms' path.  Their per-desk pools are small, and a
-            # column version of this scan made their sessions slower.
-            pool = [e for e in self._entries.values() if e.assigned_physician == physician_id]
+            # The token arms' path: a scan of the desk's own entries, which
+            # reads each priority afresh.
+            pool = self.by_desk().get(physician_id)
             if not pool:
                 raise ValidationError(f"no waiting entries assigned to {physician_id}")
-            best = min(pool, key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
-            if self._rows is None:
-                return self._entries.pop(best.patient_id)
-            return self._kill(next(i for i, e in enumerate(self._rows) if e is best))
+            best = min(pool.values(), key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
+            if self._rows is not None:
+                return self._kill(next(i for i, e in enumerate(self._rows) if e is best))
+            del pool[best.patient_id]
+            return self._entries.pop(best.patient_id)
         if not self._entries:
             raise ValidationError("dequeue from empty queue")
         n = self._table()

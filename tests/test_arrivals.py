@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from opdsim import arrivals
 from opdsim.arrivals import (
     IntensityProfile,
     default_profile,
@@ -115,3 +116,45 @@ def test_mean_count_before_resampling():
 def test_scaled_to_total():
     prof = default_profile().scaled_to_total(500.0)
     assert math.isclose(prof.integral(), 500.0, rel_tol=1e-12)
+
+
+def test_each_attempt_is_one_thinned_trajectory(monkeypatch):
+    # sample_arrivals draws whole trajectories until one has the cohort's
+    # size, one sample_poisson_process call per attempt, and returns exactly
+    # that trajectory.  Folding the attempts into one call would leave the
+    # per-session trajectory count reading 1.
+    prof = default_profile()
+    rng = np.random.default_rng(0)
+    drawn = [sample_poisson_process(prof, rng)]
+    while drawn[-1].size != N_PATIENTS:
+        drawn.append(sample_poisson_process(prof, rng))
+    assert len(drawn) > 1
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return sample_poisson_process(*args, **kwargs)
+
+    monkeypatch.setattr(arrivals, "sample_poisson_process", counting)
+    times = sample_arrivals(prof, N_PATIENTS, seed_or_rng=np.random.default_rng(0))
+    assert len(calls) == len(drawn)
+    assert np.array_equal(times, drawn[-1])
+
+
+def test_count_only_attempt_draws_like_a_full_one():
+    # With `count`, a trajectory of another length comes back as None, but
+    # the generator reads exactly what the full draw reads.
+    prof = default_profile()
+    full, counted = np.random.default_rng(3), np.random.default_rng(3)  # the 2nd attempt fits
+    outcomes = set()
+    for _ in range(10):
+        want = sample_poisson_process(prof, full)
+        got = sample_poisson_process(prof, counted, count=N_PATIENTS)
+        assert full.bit_generator.state == counted.bit_generator.state
+        if want.size == N_PATIENTS:
+            assert np.array_equal(got, want)
+        else:
+            assert got is None
+        outcomes.add(got is None)
+    assert outcomes == {True, False}

@@ -17,7 +17,7 @@ from opdsim.engine import (
     run_session,
 )
 from opdsim.errors import ValidationError
-from opdsim.assignment import Physician
+from opdsim.assignment import Physician, PhysicianStatus
 from opdsim.patients import N_PATIENTS, Specialty, UrgencyLevel
 from opdsim.triage import DriftParams
 
@@ -561,3 +561,108 @@ def test_session_metrics_match_reference(dataset42, strategy, case):
         res = run_session(patients, history, config, seed, roster=roster)
         want = _reference_metrics(res, patients, config, seed, roster or engine.default_roster())
         assert res.metrics.to_dict() == want
+
+
+@pytest.mark.parametrize("case", sorted(RESULT_CASES) + sorted(GOLDEN_DESK_CONFIGS))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_traced_and_untraced_runs_agree(dataset42, strategy, case):
+    # Untraced runs leave the arrival events out of the loop; nothing else
+    # may differ from a traced run.
+    patients, history = dataset42
+    overrides, roster = RESULT_CASES.get(case) or (GOLDEN_DESK_CONFIGS[case], None)
+    config = StrategyConfig(strategy=strategy, **overrides)
+    for seed in (1000, 1001, 1002):
+        traced, untraced = (
+            run_session(patients, history, config, seed, roster=roster, collect_trace=on)
+            for on in (True, False)
+        )
+        assert traced.trace and not untraced.trace
+        assert traced.metrics.to_dict() == untraced.metrics.to_dict()
+        assert traced.served == untraced.served
+        assert [e.to_row() for e in traced.escalations] == [e.to_row() for e in untraced.escalations]
+
+
+# ------------------------------------------------------------ dispatch
+
+
+@pytest.mark.parametrize("case", sorted(RESULT_CASES))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_dispatch_starts_a_consult(dataset42, monkeypatch, strategy, case):
+    # Dispatch is asked for only when a room can start a consult, so each
+    # call comes before closing and starts at least one.
+    patients, history = dataset42
+    overrides, roster = RESULT_CASES[case]
+    config = StrategyConfig(strategy=strategy, **overrides)
+    calls, started = [], []
+    on_dispatch, start = engine._Session.on_dispatch, engine._Session._start_consult
+
+    def counting_dispatch(self, t):
+        calls.append(t)
+        on_dispatch(self, t)
+
+    def counting_start(self, t, physician, entry):
+        started.append(len(calls))
+        start(self, t, physician, entry)
+
+    monkeypatch.setattr(engine._Session, "on_dispatch", counting_dispatch)
+    monkeypatch.setattr(engine._Session, "_start_consult", counting_start)
+    for seed in (1000, 1001, 1002):
+        calls.clear()
+        started.clear()
+        res = run_session(patients, history, config, seed, roster=roster)
+        assert len(started) == len(res.served)
+        assert all(t < config.session_minutes for t in calls)
+        assert set(started) == set(range(1, len(calls) + 1))
+
+
+# ------------------------------------------------------------ end state
+
+
+def _break_after_closing(monkeypatch, breach):
+    """Apply `breach(session, physician)` once, at the first consult end at
+    or after closing, when no consult can start any more."""
+    on_consult_end = engine._Session.on_consult_end
+    done = []
+
+    def breaching(self, t, physician):
+        on_consult_end(self, t, physician)
+        if t >= self.config.session_minutes and not done:
+            breach(self, physician)
+            done.append(t)
+
+    monkeypatch.setattr(engine._Session, "on_consult_end", breaching)
+    return done
+
+
+def _drop_from_desk_index(session, physician):
+    desks = session.queue.by_desk()
+    next(es for es in desks.values() if es).popitem()
+
+
+def _shorten_shortest_queue(session, physician):
+    # Not the longest, so that only the queue-length clause breaks.
+    desk = min((q for q in session.roster if q.queue_length), key=lambda q: q.queue_length)
+    desk.queue_length -= 1
+
+
+END_STATE_BREACHES = {
+    "room_left_busy": ("fcfs", lambda s, p: setattr(p, "status", PhysicianStatus.BUSY)),
+    "idle_count": ("rule_based", lambda s, p: setattr(s, "idle", s.idle - 1)),
+    "queue_length": ("fcfs", lambda s, p: setattr(p, "queue_length", p.queue_length + 1)),
+    "pooled_queue_length": ("agentic", _shorten_shortest_queue),
+    "desk_index": ("rule_based", _drop_from_desk_index),
+    "longest": ("agentic", lambda s, p: setattr(s, "longest", s.longest + 1)),
+}
+
+
+@pytest.mark.parametrize("breach", sorted(END_STATE_BREACHES))
+def test_end_state_breach_fails_accounting(dataset42, monkeypatch, breach):
+    # At close every room is idle and counted so, each desk's queue length
+    # matches its waiting entries and the per-desk index, and the pooled
+    # arm's longest queue is current; a breach of any fails the run.
+    patients, history = dataset42
+    strategy, act = END_STATE_BREACHES[breach]
+    done = _break_after_closing(monkeypatch, act)
+    with pytest.raises(ValidationError, match="accounting"):
+        run_session(patients, history, StrategyConfig(strategy=strategy), seed=1)
+    assert done

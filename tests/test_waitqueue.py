@@ -668,3 +668,57 @@ def test_reenqueue_of_a_dequeued_id(first_pop_desk):
     _sweep_twins(fast, ref, backends, 10.0, {}, {"D1": 0.0, "D2": 0.0})
     assert _pop_twins(fast, ref) == "P0001"
     assert len(fast) == 0
+
+
+# ---------------------------------------------------------------- dequeue differential
+
+_POOL_IDS = [f"P{k:04d}" for k in range(1, 9)]
+# enqueue: id, clock step (0 makes exact enqueue-time ties), desk, level, priority
+_ENQUEUE = st.tuples(
+    st.just("enqueue"), st.sampled_from(_POOL_IDS), st.sampled_from([0.0, 0.0, 1.0]),
+    st.sampled_from(DESKS[:3]), st.sampled_from(list(UrgencyLevel)), st.sampled_from([0.0, 0.5, 0.5]),
+)
+_POOL_OPS = st.one_of(
+    _ENQUEUE, _ENQUEUE, st.tuples(st.just("pop"), st.sampled_from([None, *DESKS[:3]])),
+    st.tuples(st.just("sweep")),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ops=st.lists(_POOL_OPS, min_size=10, max_size=60))
+def test_dequeues_match_a_full_pool_min(ops):
+    # Enqueues (repeated ids come back once dequeued), per-desk and pooled
+    # dequeues and sweeps, in any order: each dequeue returns the entry a
+    # plain min over the whole pool picks, whichever index served it.
+    q = AdaptiveQueue()
+    backend = _backend(DriftParams(p_low=0.3, p_medium=0.3, p_high=0.3))
+    loads = dict(zip(DESKS, (0.0, 0.5, 1.0, 0.25)))
+    t = 0.0
+    for op in ops:
+        if op[0] == "enqueue":
+            _, pid, step, desk, level, priority = op
+            if any(e.patient_id == pid for e in q.entries()):
+                with pytest.raises(ValidationError):
+                    q.enqueue(_ranked(pid, t, priority, physician=desk))
+                continue
+            t += step
+            q.enqueue(_ranked(pid, t, priority, urgency=level, acuity=2 * level.rank + 1,
+                              physician=desk))
+        elif op[0] == "pop":
+            desk = op[1]
+            pool = [e for e in q.entries() if desk is None or e.assigned_physician == desk]
+            if not pool:
+                with pytest.raises(ValidationError):
+                    q.dequeue_next(desk)
+                continue
+            want = min(pool, key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
+            assert q.dequeue_next(desk) is want
+            assert want not in q.entries()
+        else:
+            q.reassess_tick(t, backend, {}, memory_enabled=False, load_of=loads.__getitem__)
+    # The per-desk index, built at the first per-desk dequeue (or here), holds
+    # the pool's entries under their desks.
+    index = q.by_desk()
+    assert sorted(e.patient_id for es in index.values() for e in es.values()) == sorted(
+        e.patient_id for e in q.entries())
+    assert all(e.assigned_physician == d for d, es in index.items() for e in es.values())
