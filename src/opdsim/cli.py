@@ -213,16 +213,32 @@ def build_manifest(
 # ---------------------------------------------------------------------------
 # experiment plumbing
 #
+# `_init_worker` hands each process the cohort, config and roster once; the
+# payload of a run is then its seed alone.
+#
 # perfbench/run.py times each experiment session by wrapping `_worker_run`
 # and `_run_many`, looked up by name on this module.  Renaming either one, or
 # changing their one-payload-in, one-dict-out shape, silently drops
 # session_ms_p50/p90 from the experiment_serial and experiment_parallel
 # workloads.
 
+# (patients, history, config, roster) of the current experiment.  `_run_many`
+# sets it before its first run in every process, so no run reads another
+# experiment's.
+_shared: tuple = ()
 
-def _worker_run(payload) -> dict:
-    """Top-level so it pickles for multiprocessing workers."""
-    patients, history, config, roster, seed = payload
+
+def _init_worker(patients, history, config, roster) -> None:
+    """Pool initializer; under fork its arguments are inherited, not pickled."""
+    global _shared
+    _shared = (patients, history, config, roster)
+
+
+def _worker_run(seed: int) -> dict:
+    """One session of the experiment `_init_worker` set up; top-level so it
+    pickles by name.  Escalations are rows in escalations.csv column order,
+    without the leading run seed."""
+    patients, history, config, roster = _shared
     result = run_session(patients, history, config, seed, roster=roster)
     crit = [
         v.wait_from_level_entry
@@ -234,7 +250,10 @@ def _worker_run(payload) -> dict:
         "metrics": result.metrics.to_dict(),
         "critical_waits": crit,
         "overall_waits": overall,
-        "escalations": [e.to_row() for e in result.escalations],
+        "escalations": [
+            [round(e.time, 4), e.patient_id, e.from_level.value, e.to_level.value, e.cause]
+            for e in result.escalations
+        ],
     }
 
 
@@ -243,15 +262,15 @@ def _run_many(patients, history, config, roster, base_seed, n_runs, workers) -> 
         raise ValidationError(f"--runs must be at least 1, got {n_runs}")
     if workers < 1:
         raise ValidationError(f"--workers must be at least 1, got {workers}")
-    payloads = [
-        (patients, history, config, roster, s) for s in range(base_seed, base_seed + n_runs)
-    ]
-    # pool.map keeps payload order, so the worker count never changes the output
+    seeds = range(base_seed, base_seed + n_runs)
+    shared = (patients, history, config, roster)
+    # pool.map keeps seed order, so the worker count never changes the output
     workers = min(workers, n_runs)
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(_worker_run, payloads)
-    return [_worker_run(p) for p in payloads]
+        with multiprocessing.Pool(workers, _init_worker, shared) as pool:
+            return pool.map(_worker_run, seeds, chunksize=1)
+    _init_worker(*shared)
+    return [_worker_run(s) for s in seeds]
 
 
 def _experiment_dir(out_dir: Path, args, config, patients, history, dataset_fp, roster) -> dict:
@@ -270,7 +289,7 @@ def _experiment_dir(out_dir: Path, args, config, patients, history, dataset_fp, 
         row = dict(payload["metrics"])
         row["manifest"] = compat
         lines.append(_canonical_json(row))
-        esc_rows.extend([seed] + [e[f] for f in esc_header[1:]] for e in payload["escalations"])
+        esc_rows.extend([seed, *e] for e in payload["escalations"])
     _atomic_write_text(out_dir / "runs.jsonl", "\n".join(lines) + "\n")
     _atomic_write_json(
         out_dir / "waits.json",

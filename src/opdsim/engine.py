@@ -292,30 +292,31 @@ class _Session:
         heapq.heappush(self.heap, (time, precedence, next(self._seq), payload))
 
     def record(self, time: float, kind: str, patient_id: str = "", physician_id: str = "", detail: str = ""):
-        if self.collect_trace:
-            self.trace.append(
-                {
-                    "time": round(time, 6),
-                    "event": kind,
-                    "patient_id": patient_id,
-                    "physician_id": physician_id,
-                    "detail": detail,
-                }
-            )
+        # Called only when collect_trace is on: untraced runs format nothing.
+        self.trace.append(
+            {
+                "time": round(time, 6),
+                "event": kind,
+                "patient_id": patient_id,
+                "physician_id": physician_id,
+                "detail": detail,
+            }
+        )
 
     def load_of(self, physician_id: str) -> float:
         return self.by_id[physician_id].queue_length / self.longest
 
     # -- handlers ---------------------------------------------------------
 
-    def on_arrival(self, t: float, patient: Patient):
+    def on_arrival(self, t: float, patient: Patient):  # traced runs only; see run()
         self.record(t, "arrival", patient.patient_id)
 
     def on_reg_done(self, t: float, patient: Patient):
         if t >= self.config.session_minutes:
             self.late_registrations += 1  # too late to join the consult queue
             return
-        self.record(t, "reg_done", patient.patient_id)
+        if self.collect_trace:
+            self.record(t, "reg_done", patient.patient_id)
         urgency, acuity = self.backend.triage_face_value(patient)
         entry = QueueEntry(
             patient=patient,
@@ -340,7 +341,8 @@ class _Session:
         elif self.config.strategy is Strategy.RULE_BASED:
             entry.priority = float(urgency.rank)
         self.queue.enqueue(entry)
-        self.record(t, "enqueue", patient.patient_id, physician.physician_id)
+        if self.collect_trace:
+            self.record(t, "enqueue", patient.patient_id, physician.physician_id)
         if (self.idle if self.pooled else physician.status is PhysicianStatus.IDLE):
             self.dispatch_due = True  # a room can take this patient now
 
@@ -398,7 +400,8 @@ class _Session:
     def on_consult_end(self, t: float, physician: Physician):
         physician.status = PhysicianStatus.IDLE
         self.idle += 1
-        self.record(t, "consult_end", physician_id=physician.physician_id)
+        if self.collect_trace:
+            self.record(t, "consult_end", physician_id=physician.physician_id)
         waiting = len(self.queue) if self.pooled else physician.queue_length
         if waiting and t < self.config.session_minutes:
             self.dispatch_due = True  # someone can take the freed room

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import collections
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from hashlib import sha256
 
@@ -690,17 +690,31 @@ def _deal_conditions(rng, chosen: list[Patient], hosts: dict[str, dict]) -> dict
 DATASET_SCHEMA_VERSION = 1
 
 
-def _json_fields(items) -> dict:
-    """`asdict` factory that writes enums as their values."""
-    return {k: v.value if isinstance(v, Enum) else v for k, v in items}
-
-
 def dataset_to_dict(patients: list[Patient], history: dict[str, HistoryRecord]) -> dict:
+    """The cohort as JSON types, fields in declaration order and enums as
+    their values: what `dataclasses.asdict` would give, without its deep copy."""
     return {
         "schema_version": DATASET_SCHEMA_VERSION,
-        "patients": [asdict(p, dict_factory=_json_fields) for p in patients],
+        "patients": [
+            vars(p) | {
+                "age_band": p.age_band.value,
+                "face_urgency": p.face_urgency.value,
+                "required_specialty": p.required_specialty.value,
+            }
+            for p in patients
+        ],
         "history": {
-            pid: asdict(rec, dict_factory=_json_fields) for pid, rec in sorted(history.items())
+            pid: {
+                "patient_id": rec.patient_id,
+                "conditions": list(rec.conditions),
+                "medications": list(rec.medications),
+                "allergies": list(rec.allergies),
+                "escalation_rule": {
+                    "target": rec.escalation_rule.target.value,
+                    "reason": rec.escalation_rule.reason,
+                },
+            }
+            for pid, rec in sorted(history.items())
         },
     }
 

@@ -78,16 +78,6 @@ class EscalationEvent:
     cause: str  # CAUSE_DRIFT or CAUSE_MEMORY
     reason: str = ""
 
-    def to_row(self) -> dict:
-        return {
-            "time": round(self.time, 4),
-            "patient_id": self.patient_id,
-            "from_level": self.from_level.value,
-            "to_level": self.to_level.value,
-            "cause": self.cause,
-            "reason": self.reason,
-        }
-
 
 @dataclass
 class QueueEntry:

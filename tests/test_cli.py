@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opdsim import cli
+from opdsim.assignment import default_roster
 from opdsim.cli import main
-from opdsim.patients import dataset_fingerprint, dataset_from_dict, dataset_to_dict
+from opdsim.engine import StrategyConfig
+from opdsim.patients import UrgencyLevel, dataset_fingerprint, dataset_from_dict, dataset_to_dict
+from opdsim.waitqueue import CAUSE_DRIFT, EscalationEvent
 
 GOLDEN_FCFS_SERVED = 252
 GOLDEN_AGENTIC_TRACE = "14058ec0e2267f1336b9d238a23d76f111858517c66bcc4cb20cac09bb88e2e4"
@@ -414,12 +417,17 @@ def test_experiment_reruns_are_byte_identical(tmp_path):
     assert ma == mb
 
 
-def test_experiment_pool_is_capped_at_the_run_count(tmp_path, monkeypatch):
-    sizes = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace `multiprocessing.Pool` with one that runs its initializer and
+    tasks in this process; returns (processes, initializer, initargs, fn,
+    tasks) for each `map`."""
+    maps = []
 
     class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+        def __init__(self, processes, initializer, initargs):
+            self.init = (processes, initializer, initargs)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -427,16 +435,51 @@ def test_experiment_pool_is_capped_at_the_run_count(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=None):
+            items = list(items)
+            maps.append((*self.init, fn, items))
             return [fn(x) for x in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return maps
+
+
+def test_experiment_pool_is_capped_at_the_run_count(tmp_path, serial_pool):
     a, b = tmp_path / "a", tmp_path / "b"
     _experiment(a, strategy="fcfs", runs=2)
     _experiment(b, strategy="fcfs", runs=2, extra=["--workers", "64"])
+    sizes = [processes for processes, *_ in serial_pool]
     assert sizes == [2]
     for name in ("runs.jsonl", "waits.json", "escalations.csv", "summary.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_experiment_pool_tasks_are_bare_seeds(tmp_path, serial_pool):
+    # The cohort, config and roster reach each worker once, through the
+    # initializer; what the pool sends per task is the run's seed alone.
+    _experiment(tmp_path / "x", strategy="fcfs", runs=3, base_seed=500, extra=["--workers", "2"])
+    [(_, initializer, initargs, fn, tasks)] = serial_pool
+    assert initializer is cli._init_worker and fn is cli._worker_run
+    patients, history, config, roster = initargs
+    assert len(patients) == 368 and len(history) == 120 and config.strategy.value == "fcfs"
+    assert tasks == [500, 501, 502] and all(type(x) is int for x in tasks)
+
+
+def test_escalation_rows_follow_the_csv_header(dataset42, monkeypatch):
+    # escalations.csv is run_seed + these rows: time to 4 places, levels by
+    # value, and no reason column.
+    ev = EscalationEvent(12.345678, "P0001", UrgencyLevel.LOW, UrgencyLevel.MEDIUM,
+                         CAUSE_DRIFT, "worsened")
+    run_session = cli.run_session
+
+    def with_event(*args, **kwargs):
+        result = run_session(*args, **kwargs)
+        result.escalations = [ev]
+        return result
+
+    monkeypatch.setattr(cli, "run_session", with_event)
+    cli._init_worker(*dataset42, StrategyConfig(strategy="fcfs"), default_roster())
+    assert cli._worker_run(1000)["escalations"] == [[12.3457, "P0001", "low", "medium", CAUSE_DRIFT]]
 
 
 # ---------------------------------------------------------------- compare
@@ -563,6 +606,28 @@ def test_ablation_grid(tmp_path, capsys):
     assert float(rows["full"]["escalation_count"]) > 0.0
     for variant in rows:
         assert (out_dir / variant / "runs.jsonl").exists()
+
+
+def test_ablation_reruns_are_byte_identical_across_worker_counts(tmp_path, capsys):
+    # Each variant starts its own pool, so every worker runs that variant's
+    # config, not the one the previous pool was started with.
+    dirs = tmp_path / "w1", tmp_path / "w2"
+    for d, workers in zip(dirs, ("1", "2")):
+        assert main(["ablation", "--runs", "2", "--base-seed", "100",
+                     "--workers", workers, "--out-dir", str(d)]) == 0
+    capsys.readouterr()
+    a, b = dirs
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    assert len(files) == 1 + 4 * 5
+    for name in files:
+        if name.name == "manifest.json":
+            ma, mb = (json.loads((d / name).read_text()) for d in dirs)
+            ma.pop("created_at")
+            mb.pop("created_at")
+            assert ma == mb, name
+        else:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------- calibrate

@@ -213,7 +213,7 @@ def test_same_seed_reproduces_everything(dataset42, strategy):
     b = run_session(patients, history, cfg, seed=11, collect_trace=True)
     assert a.metrics.to_dict() == b.metrics.to_dict()
     assert a.trace == b.trace
-    assert [ev.to_row() for ev in a.escalations] == [ev.to_row() for ev in b.escalations]
+    assert a.escalations == b.escalations
 
 
 def test_different_seeds_diverge(dataset42):
@@ -579,7 +579,7 @@ def test_traced_and_untraced_runs_agree(dataset42, strategy, case):
         assert traced.trace and not untraced.trace
         assert traced.metrics.to_dict() == untraced.metrics.to_dict()
         assert traced.served == untraced.served
-        assert [e.to_row() for e in traced.escalations] == [e.to_row() for e in untraced.escalations]
+        assert traced.escalations == untraced.escalations
 
 
 # ------------------------------------------------------------ dispatch

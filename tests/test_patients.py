@@ -4,6 +4,8 @@ import collections
 import hashlib
 import json
 import pickle
+from dataclasses import asdict
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from opdsim.errors import ValidationError
 from opdsim.patients import (
     ARCHETYPES,
     CONDITION_COUNTS,
+    DATASET_SCHEMA_VERSION,
     N_HISTORY,
     N_PATIENTS,
     AgeBand,
@@ -152,6 +155,30 @@ def test_generation_is_deterministic():
     b = generate_dataset(99)
     assert dataset_fingerprint(*a) == dataset_fingerprint(*b)
     assert dataset_to_dict(*a) == dataset_to_dict(*b)
+
+
+def _asdict_dataset(patients, history) -> dict:
+    """The `dataclasses.asdict` builder `dataset_to_dict` replaced, kept as
+    its reference."""
+    def json_fields(items):
+        return {k: v.value if isinstance(v, Enum) else v for k, v in items}
+
+    return {
+        "schema_version": DATASET_SCHEMA_VERSION,
+        "patients": [asdict(p, dict_factory=json_fields) for p in patients],
+        "history": {
+            pid: asdict(rec, dict_factory=json_fields) for pid, rec in sorted(history.items())
+        },
+    }
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dataset_to_dict_matches_asdict(seed):
+    cohort = generate_dataset(seed)
+    got, want = dataset_to_dict(*cohort), _asdict_dataset(*cohort)
+    assert got == want
+    # Same key order too, so even unsorted JSON text is unchanged.
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_different_seeds_differ():

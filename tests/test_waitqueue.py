@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from opdsim.engine import StrategyConfig
@@ -253,15 +253,6 @@ def test_apply_escalation_must_raise_level():
         _escalate(e, 10.0, UrgencyLevel.MEDIUM, CAUSE_DRIFT, "")
     assert (e.current_urgency, e.current_acuity, e.level_entry_time) == (
         UrgencyLevel.HIGH, 7, 0.0)
-
-
-def test_escalation_event_row_format():
-    e = _entry("P0001", t=0.0, urgency=UrgencyLevel.LOW, acuity=2)
-    ev = _escalate(e, 12.345678, UrgencyLevel.MEDIUM, CAUSE_DRIFT, "worsened")
-    row = ev.to_row()
-    assert row["time"] == 12.3457
-    assert row["from_level"] == "low" and row["to_level"] == "medium"
-    assert row["cause"] == CAUSE_DRIFT
 
 
 # ---------------------------------------------------------------- reassessment
@@ -684,7 +675,10 @@ _POOL_OPS = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+# No shrink phase: a failing example is reported as found, since shrinking
+# one of these op lists has taken minutes.
+@settings(derandomize=True, max_examples=150, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(ops=st.lists(_POOL_OPS, min_size=10, max_size=60))
 def test_dequeues_match_a_full_pool_min(ops):
     # Enqueues (repeated ids come back once dequeued), per-desk and pooled
