@@ -51,14 +51,8 @@ REG_MEAN_ASSISTED = 3.3
 REG_STD = 2.0
 REG_MIN = 0.5
 
-# Consult duration (mean, std) by the urgency the patient holds when called.
-CONSULT_PARAMS = {
-    UrgencyLevel.CRITICAL: (15.0, 4.0),
-    UrgencyLevel.HIGH: (10.0, 3.0),
-    UrgencyLevel.MEDIUM: (7.0, 2.5),
-    UrgencyLevel.LOW: (5.0, 1.5),
-}
-_CONSULT_BY_RANK = tuple(CONSULT_PARAMS[level] for level in UrgencyLevel)
+# Consult durations are `UrgencyLevel.consult` of the level held when called,
+# floored here.
 CONSULT_MIN = 1.0
 
 # Same-timestamp precedence on the event heap: finish consults first so freed
@@ -386,7 +380,7 @@ class _Session:
         physician.status = PhysicianStatus.BUSY
         self.idle -= 1
         level, patient = entry.current_urgency, entry.patient
-        dur = _positive_normal(self.consult_z, *_CONSULT_BY_RANK[level.rank], CONSULT_MIN)
+        dur = _positive_normal(self.consult_z, *level.consult, CONSULT_MIN)
         # In field order; an enum's `_value_` is its `value`, read without the property.
         self.served.append(ServedVisit(
             patient.patient_id, entry.face_urgency, level, patient.required_specialty._value_,

@@ -30,18 +30,24 @@ _STREAM_HISTORY = 1
 
 
 class UrgencyLevel(Enum):
-    """Urgency grades, declared in rank order.  A member's value is its name
-    as JSON holds it; `rank` orders the grades and `u_score` is the urgency
-    term of the dequeue priority."""
+    """Urgency grades in rank order, each with its per-grade model constants:
+    its name as JSON holds it (the value), `rank`, `u_score` (the urgency term
+    of the dequeue priority), `face_count` of a session's walk-ins (fixed, not
+    sampled, so every run has the same case mix), `history_count` of the
+    history records on patients of that face grade, the 1-10 `acuity_band`,
+    the `escalation_acuity` given on escalation into the grade (None for low),
+    and the `consult` duration (mean, std) in minutes of a patient called at it."""
 
-    LOW = ("low", 0, 0.25)
-    MEDIUM = ("medium", 1, 0.50)
-    HIGH = ("high", 2, 0.75)
-    CRITICAL = ("critical", 3, 1.0)
+    LOW = ("low", 0, 0.25, 161, 57, (1, 3), None, (5.0, 1.5))
+    MEDIUM = ("medium", 1, 0.50, 158, 57, (4, 6), 5, (7.0, 2.5))
+    HIGH = ("high", 2, 0.75, 36, 6, (7, 8), 7, (10.0, 3.0))
+    CRITICAL = ("critical", 3, 1.0, 13, 0, (9, 10), 9, (15.0, 4.0))
 
-    def __new__(cls, value: str, rank: int, u_score: float):
+    def __new__(cls, value: str, *constants):
         member = object.__new__(cls)
-        member._value_, member.rank, member.u_score = value, rank, u_score
+        member._value_ = value
+        (member.rank, member.u_score, member.face_count, member.history_count,
+         member.acuity_band, member.escalation_acuity, member.consult) = constants
         return member
 
     def next_higher(self) -> "UrgencyLevel":
@@ -51,30 +57,9 @@ class UrgencyLevel(Enum):
 
 
 _LEVELS = tuple(UrgencyLevel)  # by rank
-
-# Acuity (1-10) bands per urgency grade, and the band value applied when a
-# patient is escalated into a grade mid-session.
-ACUITY_BANDS = {
-    UrgencyLevel.CRITICAL: (9, 10),
-    UrgencyLevel.HIGH: (7, 8),
-    UrgencyLevel.MEDIUM: (4, 6),
-    UrgencyLevel.LOW: (1, 3),
-}
-ESCALATION_ACUITY = {
-    UrgencyLevel.CRITICAL: 9,
-    UrgencyLevel.HIGH: 7,
-    UrgencyLevel.MEDIUM: 5,
-}
-
-# Face-value urgency mix of a session's 368 walk-ins.  Fixed counts, not a
-# sampled prior: the comparison across queueing strategies needs an identical
-# case mix in every run.
-URGENCY_COUNTS = {
-    UrgencyLevel.CRITICAL: 13,
-    UrgencyLevel.HIGH: 36,
-    UrgencyLevel.MEDIUM: 158,
-    UrgencyLevel.LOW: 161,
-}
+# The cohort deals face grades, and picks history records, highest grade
+# first; the pinned cohort fingerprints depend on this order.
+_DEAL_ORDER = _LEVELS[::-1]
 
 
 class Specialty(Enum):
@@ -255,11 +240,10 @@ ARCHETYPES = (
 )
 
 # History records attach only to non-critical, non-pediatric patients.  The
-# face-urgency mix of the 120-record pool and the number of records whose
-# escalation target is CRITICAL are fixed design constants: together with the
-# escalation probability they set how many hidden-critical patients a session
-# can surface.
-HISTORY_FACE_MIX = {UrgencyLevel.HIGH: 6, UrgencyLevel.MEDIUM: 57, UrgencyLevel.LOW: 57}
+# face-urgency mix of the 120-record pool (`UrgencyLevel.history_count`) and
+# the number of records whose escalation target is CRITICAL are fixed design
+# constants: together with the escalation probability they set how many
+# hidden-critical patients a session can surface.
 N_EXTRA_CRITICAL_TARGETS = 3  # face-MEDIUM/LOW records (beyond archetypes) raised to critical
 
 COMPLAINTS = {
@@ -487,7 +471,7 @@ def generate_dataset(seed: int = 42) -> tuple[list[Patient], dict[str, HistoryRe
     independently); only the co-occurrence pattern varies.
     """
     rng = seeded_stream(seed, _STREAM_PATIENTS)
-    urgency_col = _shuffled(rng, URGENCY_COUNTS.items())
+    urgency_col = _shuffled(rng, [(level, level.face_count) for level in _DEAL_ORDER])
     band_col = _shuffled(rng, _apportion(N_PATIENTS, AGE_BAND_SHARES))
     gender_col = _shuffled(rng, _apportion(N_PATIENTS, GENDER_SHARES))
     locality_col = _shuffled(rng, _apportion(N_PATIENTS, LOCALITY_SHARES))
@@ -501,7 +485,7 @@ def generate_dataset(seed: int = 42) -> tuple[list[Patient], dict[str, HistoryRe
         lo, hi = AGE_RANGES[band]
         age = int(rng.integers(lo, hi + 1))
         urgency = urgency_col[i]
-        a_lo, a_hi = ACUITY_BANDS[urgency]
+        a_lo, a_hi = urgency.acuity_band
         acuity = int(rng.integers(a_lo, a_hi + 1))
         options = COMPLAINTS[(urgency, specialty_col[i])]
         complaint = options[int(rng.integers(0, len(options)))]
@@ -576,13 +560,13 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
     and re-marks `has_history` on the given patients.
     """
     rng = seeded_stream(seed, _STREAM_HISTORY)
-    by_face: dict[UrgencyLevel, list[Patient]] = {level: [] for level in HISTORY_FACE_MIX}
+    by_face: dict[UrgencyLevel, list[Patient]] = {level: [] for level in _DEAL_ORDER if level.history_count}
     for p in patients:
         p.has_history = False
         if p.face_urgency in by_face and p.age_band is not AgeBand.PEDIATRIC:
             by_face[p.face_urgency].append(p)
-    for level, need in HISTORY_FACE_MIX.items():
-        if len(by_face[level]) < need:
+    for level, eligible in by_face.items():
+        if len(eligible) < level.history_count:
             raise ValidationError(f"not enough eligible {level.value}-urgency patients for history")
 
     hosts: dict[str, dict] = {}  # patient id -> archetype spec
@@ -591,10 +575,10 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
         host = _pick_archetype_host(rng, spec, by_face[UrgencyLevel.LOW], hosts)
         hosts[host.patient_id] = spec
         chosen.append(host)
-    for level, need in HISTORY_FACE_MIX.items():
-        pool = [p for p in by_face[level] if p.patient_id not in hosts]
-        hosted = len(by_face[level]) - len(pool)
-        picks = rng.choice(len(pool), size=need - hosted, replace=False)
+    for level, eligible in by_face.items():
+        pool = [p for p in eligible if p.patient_id not in hosts]
+        hosted = len(eligible) - len(pool)
+        picks = rng.choice(len(pool), size=level.history_count - hosted, replace=False)
         chosen.extend(pool[i] for i in sorted(picks.tolist()))
 
     # Face-HIGH records can only rise to CRITICAL; a fixed handful of the
@@ -742,7 +726,7 @@ def _validate_dataset(patients: list[Patient], history: dict[str, HistoryRecord]
         raise ValidationError("duplicate patient ids")
     by_id = {p.patient_id: p for p in patients}
     for p in patients:
-        lo, hi = ACUITY_BANDS[p.face_urgency]
+        lo, hi = p.face_urgency.acuity_band
         if not (lo <= p.face_acuity <= hi):
             raise ValidationError(f"{p.patient_id}: acuity {p.face_acuity} outside {p.face_urgency.value} band")
     for pid, rec in history.items():

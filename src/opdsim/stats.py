@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .patients import UrgencyLevel
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -209,7 +210,7 @@ def summarize_runs(metrics_list) -> dict[str, MetricSummary]:
         if vals:
             out[name] = _summary(vals)
     # Mean final composition and wait-by-urgency per level across runs.
-    for level in ("critical", "high", "medium", "low"):
+    for level in (lvl.value for lvl in reversed(UrgencyLevel)):  # critical first
         out[f"composition_{level}"] = _summary([m.final_composition[level] for m in metrics_list])
         waits = [m.wait_by_effective.get(level) for m in metrics_list]
         waits = [w for w in waits if w is not None]

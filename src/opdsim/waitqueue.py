@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, require_number
-from .patients import ESCALATION_ACUITY, HistoryRecord, Patient, UrgencyLevel
+from .patients import HistoryRecord, Patient, UrgencyLevel
 from .triage import CalibratedTriageBackend
 
 W_URGENCY = 0.45
@@ -34,7 +34,6 @@ CAUSE_DRIFT = "drift"
 CAUSE_MEMORY = "memory"
 
 _CRITICAL = UrgencyLevel.CRITICAL.rank
-_ESCALATION_ACUITY = {level.rank: acuity for level, acuity in ESCALATION_ACUITY.items()}
 # The pool's slot table (see AdaptiveQueue): one array per column.
 _COLUMNS = {
     "_rank": np.intp,  # current level
@@ -144,7 +143,7 @@ def _escalate(
         reason=reason,
     )
     entry.current_urgency = target
-    entry.current_acuity = _ESCALATION_ACUITY[target.rank]
+    entry.current_acuity = target.escalation_acuity
     entry.level_entry_time = now
     return event
 

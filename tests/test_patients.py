@@ -50,6 +50,22 @@ def test_urgency_levels_carry_their_rank_and_score():
         UrgencyLevel(("low", 0, 0.25))
 
 
+def test_level_table_fits_the_cohort_generator():
+    levels = list(UrgencyLevel)
+    assert {lvl: lvl.face_count for lvl in levels} == FACE_COUNTS
+    assert sum(lvl.face_count for lvl in levels) == N_PATIENTS
+    assert sum(lvl.history_count for lvl in levels) == N_HISTORY
+    assert UrgencyLevel.CRITICAL.history_count == 0
+    for lower, higher in zip(levels, levels[1:]):
+        assert lower.acuity_band[1] < higher.acuity_band[0], (lower, higher)
+    assert UrgencyLevel.LOW.escalation_acuity is None
+    for lvl in levels:
+        lo, hi = lvl.acuity_band
+        assert 1 <= lo <= hi <= 10, lvl
+        if lvl is not UrgencyLevel.LOW:
+            assert lo <= lvl.escalation_acuity <= hi, lvl
+
+
 def test_cohort_size_and_face_counts(dataset42):
     patients, history = dataset42
     assert len(patients) == N_PATIENTS == 368

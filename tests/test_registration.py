@@ -17,7 +17,6 @@ import pytest
 
 from opdsim.arrivals import default_profile, sample_arrivals
 from opdsim.engine import (
-    CONSULT_PARAMS,
     REG_MEAN_ASSISTED,
     REG_MEAN_MANUAL,
     REG_MIN,
@@ -26,7 +25,7 @@ from opdsim.engine import (
     _stream,
     registration_stage,
 )
-from opdsim.patients import N_PATIENTS
+from opdsim.patients import N_PATIENTS, UrgencyLevel
 
 _REG_DONE = 2
 _ARRIVAL = 3
@@ -169,7 +168,9 @@ def test_stage_same_time_rules(dataset42):
 # The block draws rely on two NumPy identities, pinned here for the values
 # and for the bit generator's state after the draws.
 
-SERVICE_PARAMS = [(REG_MEAN_ASSISTED, REG_STD), (REG_MEAN_MANUAL, REG_STD), *CONSULT_PARAMS.values()]
+SERVICE_PARAMS = [
+    (REG_MEAN_ASSISTED, REG_STD), (REG_MEAN_MANUAL, REG_STD), *(lvl.consult for lvl in UrgencyLevel)
+]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 1000])

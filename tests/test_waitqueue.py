@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from opdsim.engine import StrategyConfig
 from opdsim.errors import ValidationError
 from opdsim.patients import (
-    ESCALATION_ACUITY,
     AgeBand,
     Patient,
     Specialty,
@@ -227,7 +226,7 @@ def test_apply_escalation_updates_entry():
     ev = _escalate(e, 30.0, UrgencyLevel.MEDIUM, CAUSE_DRIFT, "worsened")
     assert ev.from_level is UrgencyLevel.LOW and ev.to_level is UrgencyLevel.MEDIUM
     assert e.current_urgency is UrgencyLevel.MEDIUM
-    assert e.current_acuity == ESCALATION_ACUITY[UrgencyLevel.MEDIUM]
+    assert e.current_acuity == UrgencyLevel.MEDIUM.escalation_acuity
     assert e.level_entry_time == 30.0
     assert e.face_urgency is UrgencyLevel.LOW  # presenting class untouched
 
@@ -317,7 +316,7 @@ def test_reassess_asks_the_chart_until_the_rule_fires(dataset42):
     assert len(answers) > 1  # seed 4 misses at least once before it fires
     assert [ev.cause for ev in events] == [CAUSE_MEMORY]
     assert e.current_urgency is UrgencyLevel.CRITICAL
-    assert e.current_acuity == ESCALATION_ACUITY[UrgencyLevel.CRITICAL]
+    assert e.current_acuity == UrgencyLevel.CRITICAL.escalation_acuity
 
 
 def test_reassess_memory_preempts_drift_same_sweep(dataset42):
@@ -356,7 +355,7 @@ def test_reassess_drift_climbs_one_level_per_sweep():
         UrgencyLevel.MEDIUM, UrgencyLevel.HIGH, UrgencyLevel.CRITICAL,
     ]
     assert all(ev.cause == CAUSE_DRIFT for ev in seen)
-    assert e.current_acuity == ESCALATION_ACUITY[UrgencyLevel.CRITICAL]
+    assert e.current_acuity == UrgencyLevel.CRITICAL.escalation_acuity
 
 
 def test_reassess_refreshes_all_priorities():
@@ -401,7 +400,7 @@ def test_reassess_memory_skipped_once_target_reached(dataset42):
 def _reference_escalate(entry, now, target, cause, reason):
     event = EscalationEvent(now, entry.patient_id, entry.current_urgency, target, cause, reason)
     entry.current_urgency = target
-    entry.current_acuity = ESCALATION_ACUITY[target]
+    entry.current_acuity = target.escalation_acuity
     entry.level_entry_time = now
     return event
 
