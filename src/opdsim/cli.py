@@ -240,16 +240,10 @@ def _worker_run(seed: int) -> dict:
     without the leading run seed."""
     patients, history, config, roster = _shared
     result = run_session(patients, history, config, seed, roster=roster)
-    crit = [
-        v.wait_from_level_entry
-        for v in result.served
-        if v.effective_urgency is UrgencyLevel.CRITICAL
-    ]
-    overall = [v.wait_from_registration for v in result.served]
     return {
         "metrics": result.metrics.to_dict(),
-        "critical_waits": crit,
-        "overall_waits": overall,
+        "critical_waits": result.critical_waits,
+        "overall_waits": result.overall_waits,
         "escalations": [
             [round(e.time, 4), e.patient_id, e.from_level.value, e.to_level.value, e.cause]
             for e in result.escalations

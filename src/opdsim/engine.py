@@ -204,6 +204,10 @@ class SessionResult:
     metrics: SessionMetrics
     escalations: list[EscalationEvent]
     served: list[ServedVisit]
+    # Per visit in consult-start order, the wait from registration, and for
+    # visits called at critical only, the wait from entering that level.
+    overall_waits: list[float]
+    critical_waits: list[float]
     trace: list[dict] = field(default_factory=list)
 
 
@@ -232,8 +236,10 @@ def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfi
     patient takes the desk that frees first, at once if it is free at their
     arrival (even after closing), and nobody waits for a desk that frees at or
     after closing.  Registrations start, and draw their durations, in arrival
-    order.  Returns every started registration as (done time, patient) in
-    (time, start order), and the number of patients who never reached a desk."""
+    order.  Returns the registrations that end before closing, then those that
+    end at or after it, too late to join the consult queue, each as (done time,
+    patient) in (time, start order); and the number of patients who never
+    reached a desk."""
     draw = functools.partial(
         _positive_normal, _normals(rng), config.registration_mean, config.registration_std, REG_MIN
     )
@@ -247,8 +253,9 @@ def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfi
         end = min(max(t, free_at[0]) + draw(), sys.float_info.max)  # an overflow ends after closing
         heapq.heapreplace(free_at, end)
         started.append((end, len(started), patient))
-    started.sort()
-    return [(end, patient) for end, _, patient in started], unregistered
+    done = [(end, patient) for end, _, patient in sorted(started)]
+    k = sum(end < config.session_minutes for end, _ in done)
+    return done[:k], done[k:], unregistered
 
 
 class _Session:
@@ -264,10 +271,9 @@ class _Session:
 
         self.consult_z = _normals(_stream(seed, _STREAM_CONSULT))
 
-        self.queue = AdaptiveQueue(config.weights)
         self.strategy = config.strategy.value
         self.pooled = config.strategy is Strategy.AGENTIC
-        self.late_registrations = 0
+        self.queue = AdaptiveQueue(config.weights, self.pooled)
         self.rr_cursor = 0
         self.longest = 1  # max(1, longest desk queue), for load_of in the pooled arm
         self.idle = len(roster)  # rooms without a consult
@@ -306,9 +312,6 @@ class _Session:
         self.record(t, "arrival", patient.patient_id)
 
     def on_reg_done(self, t: float, patient: Patient):
-        if t >= self.config.session_minutes:
-            self.late_registrations += 1  # too late to join the consult queue
-            return
         if self.collect_trace:
             self.record(t, "reg_done", patient.patient_id)
         urgency, acuity = self.backend.triage_face_value(patient)
@@ -407,9 +410,10 @@ class _Session:
         times = sample_arrivals(default_profile(n), n, _stream(self.seed, _STREAM_ARRIVALS))
         order = _stream(self.seed, _STREAM_PAIRING).permutation(n)
         arrivals = [(t, self.patients[i]) for t, i in zip(times.tolist(), order.tolist())]
-        regs, self.unregistered = registration_stage(
+        regs, late, self.unregistered = registration_stage(
             arrivals, _stream(self.seed, _STREAM_REGISTRATION), self.config
         )
+        self.late_registrations = len(late)
 
         # The reassessment loop exists only when drift monitoring is on;
         # memory escalation rides inside it, so memory alone (drift off)
@@ -421,8 +425,8 @@ class _Session:
         # Merge three time-ordered sources; at equal t the heap's events come
         # first, then registrations done, then arrivals.  Dispatch runs once,
         # after the last event at an instant that asked for it.  Arrivals only
-        # write trace rows, so untraced runs skip them; each one still ahead
-        # has a registration end ahead, so `t_reg` says if desks have events.
+        # write trace rows, so untraced runs skip them; `t_reg` alone says
+        # whether a patient can still join the pool.
         heap = self.heap
         regs = [(math.inf, None), *reversed(regs)]  # both taken from the end
         arrivals = [(math.inf, None), *(reversed(arrivals) if self.collect_trace else ())]
@@ -530,7 +534,8 @@ class _Session:
             per_physician_served={pid: per_physician[pid] for pid in self.by_id},
         )
         return SessionResult(
-            metrics=metrics, escalations=self.escalations, served=served, trace=self.trace
+            metrics=metrics, escalations=self.escalations, served=served,
+            overall_waits=reg_waits.tolist(), critical_waits=crit_waits.tolist(), trace=self.trace,
         )
 
 

@@ -151,23 +151,25 @@ def _escalate(
 class AdaptiveQueue:
     """Waiting pool keyed by patient id, insertion-ordered.
 
-    Sweeps and pooled dequeues work on a slot table: one slot per enqueue,
-    in enqueue order, and one array per column (see `_COLUMNS`).  The table
-    is built at the first sweep or pooled dequeue and kept in step from then
-    on, so the token arms, which only dequeue per desk, never build it.  A
-    dequeued slot is marked dead and never moved: its rank reads critical,
-    so no sweep checks it, and its enqueue time and priority read -inf, so
-    no dequeue takes it.  Live slots are thus in the order of `_entries`.
-    An entry's level, acuity and `priority` are read when its slot is
-    written; after that only sweeps change them.  Per-desk dequeues read a
-    per-desk index instead (`by_desk`), built at the first such dequeue.
+    The engine builds a pooled pool for the agentic arm, dequeued as a whole
+    and swept, and a per-desk pool for the token arms, dequeued desk by desk
+    and never swept; each keeps only the index its dequeues read.
+
+    A pooled pool keeps a slot table: one slot per enqueue, in enqueue order,
+    and one array per column (see `_COLUMNS`).  A dequeued slot is marked
+    dead and never moved: its rank reads critical, so no sweep checks it, and
+    its enqueue time and priority read -inf, so no dequeue takes it.  Live
+    slots are thus in the order of `_entries`.  An entry's level, acuity and
+    `priority` are read when its slot is written; after that only sweeps
+    change them.  A per-desk pool keeps each desk's entries (`by_desk`).
     """
 
-    def __init__(self, weights: PriorityWeights | None = None):
+    def __init__(self, weights: PriorityWeights | None = None, pooled: bool = True):
         self.weights = weights or PriorityWeights()
+        self._pooled = pooled
         self._entries: dict[str, QueueEntry] = {}
-        self._by_desk: dict[str | None, dict[str, QueueEntry]] | None = None  # None: no index
-        self._rows: list[QueueEntry | None] | None = None  # by slot; None: no table
+        self._by_desk: dict[str | None, dict[str, QueueEntry]] = {}  # per-desk pools
+        self._rows: list[QueueEntry | None] = []  # by slot, pooled pools
         for name, dtype in _COLUMNS.items():
             setattr(self, name, np.empty(0, dtype))
         self._desk_codes: dict[str | None, int] = {}
@@ -182,12 +184,9 @@ class AdaptiveQueue:
         if entry.patient_id in self._entries:
             raise ValidationError(f"{entry.patient_id} is already queued")
         self._entries[entry.patient_id] = entry
-        if self._by_desk is not None:
+        if not self._pooled:
             self._by_desk.setdefault(entry.assigned_physician, {})[entry.patient_id] = entry
-        if self._rows is not None:
-            self._put(entry)
-
-    def _put(self, entry: QueueEntry) -> None:
+            return
         i = len(self._rows)
         if i == len(self._live):
             for name in _COLUMNS:
@@ -207,58 +206,41 @@ class AdaptiveQueue:
         w = self.weights
         return w.urgency * entry.current_urgency.u_score + w.acuity * (entry.current_acuity / 10.0)
 
-    def _kill(self, i: int) -> QueueEntry:
-        """Take slot `i`'s entry out of the pool and mark the slot dead."""
-        entry = self._rows[i]
-        self._rows[i] = None
-        self._rank[i] = _CRITICAL
-        self._enqueued[i] = self._priority[i] = -np.inf
-        self._live[i] = False
-        if self._by_desk is not None:
-            del self._by_desk[entry.assigned_physician][entry.patient_id]
-        return self._entries.pop(entry.patient_id)
-
     def by_desk(self) -> dict[str | None, dict[str, QueueEntry]]:
-        """Waiting entries by desk, in pool order: built at the first call, then kept; read only."""
-        if self._by_desk is None:
-            self._by_desk = {}
-            for entry in self._entries.values():
-                self._by_desk.setdefault(entry.assigned_physician, {})[entry.patient_id] = entry
+        """A per-desk pool's waiting entries by desk, in pool order; read only."""
         return self._by_desk
 
-    def _table(self) -> int:
-        """The number of slots, building the table first if there is none."""
-        if self._rows is None:
-            self._rows = []
-            for entry in self._entries.values():
-                self._put(entry)
-        return len(self._rows)
-
     def dequeue_next(self, physician_id: str | None = None) -> QueueEntry:
-        """Pop the highest-priority entry for `physician_id` (or globally if
-        None); ties go to the earliest enqueue, then the lowest patient id."""
+        """Pop the highest-priority entry: a pooled pool's when `physician_id`
+        is None, else that desk's in a per-desk pool.  Ties go to the earliest
+        enqueue, then the lowest patient id."""
+        if (physician_id is None) is not self._pooled:
+            raise ValidationError("a pooled pool is dequeued whole, a per-desk pool by desk")
         if physician_id is not None:
-            # The token arms' path: a scan of the desk's own entries, which
-            # reads each priority afresh.
-            pool = self.by_desk().get(physician_id)
+            # A scan of the desk's own entries, which reads each priority afresh.
+            pool = self._by_desk.get(physician_id)
             if not pool:
                 raise ValidationError(f"no waiting entries assigned to {physician_id}")
             best = min(pool.values(), key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
-            if self._rows is not None:
-                return self._kill(next(i for i, e in enumerate(self._rows) if e is best))
             del pool[best.patient_id]
             return self._entries.pop(best.patient_id)
         if not self._entries:
             raise ValidationError("dequeue from empty queue")
-        n = self._table()
+        rows = self._rows
+        n = len(rows)
         priority = self._priority[:n]
         i = int(priority.argmax())
         top = priority[i]
         # argmax takes the first maximum, so a tie lies after it; a[a.argmax()] is a cheap a.max().
         if i + 1 < n and priority[i + 1 + priority[i + 1 :].argmax()] == top:
             tied = ((priority == top) & self._live[:n]).nonzero()[0].tolist()
-            i = min(tied, key=lambda j: (self._rows[j].enqueue_time, self._rows[j].patient_id))
-        return self._kill(i)
+            i = min(tied, key=lambda j: (rows[j].enqueue_time, rows[j].patient_id))
+        entry = rows[i]
+        rows[i] = None
+        self._rank[i] = _CRITICAL
+        self._enqueued[i] = self._priority[i] = -np.inf
+        self._live[i] = False
+        return self._entries.pop(entry.patient_id)
 
     def reassess_tick(
         self,
@@ -285,10 +267,12 @@ class AdaptiveQueue:
         block; an entry whose chart check misses heads the next block, so
         the stream is read in the same order as one check at a time.
         """
+        if not self._pooled:
+            raise ValidationError("a per-desk pool is never swept")
         if not self._entries:
             return []
-        n = self._table()
         rows = self._rows
+        n = len(rows)
         rank, level_terms, enqueued = self._rank[:n], self._level_terms[:n], self._enqueued[:n]
         if now < enqueued[enqueued.argmax()]:  # the latest enqueue
             raise ValidationError(f"reassessment at t={now} precedes an enqueue")

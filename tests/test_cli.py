@@ -403,6 +403,24 @@ def test_experiment_directory_layout(tmp_path, capsys):
     assert esc_header == "run_seed,time,patient_id,from_level,to_level,cause"
 
 
+# sha256 of each report file of `experiment --runs 2 --base-seed 1000`: the
+# agentic arm's pooled pool and rule_based's per-desk pool.
+REPORT_PINS = {
+    "agentic": {
+        "runs.jsonl": "69c4c016fe3786420c30edd27542d84264c3af54aa24375986fff56a96a91375",
+        "waits.json": "69b1abaac7f5b14682d464117b4071a10acba72da21fccda1bef7ca32d6634bf",
+        "escalations.csv": "28d77774a84e6edc4eec91c3afec6fb95f5104d726dde2cf76756fbcc8443802",
+        "summary.csv": "6ef739cf1f8c66ef829edfb936c0919c59e917b3fd04ee89d88ca9c60b5cfa75",
+    },
+    "rule_based": {
+        "runs.jsonl": "170086bb213a3fdc3e6351fc98b73d08ee53af00d98739a0fe29a45775fe17cf",
+        "waits.json": "c118a4eb5dd324ba8ff399cb29614bf305e9a902561d428c8bb9c474e1e67ef0",
+        "escalations.csv": "4437a0118ff57bf186430ece4331ef8e5f89e9c1520de7a3126f92c49cbb5c21",
+        "summary.csv": "42b79efd800007d07ef6ed977f7f580244c4ee32aa3471aa3065045c92330797",
+    },
+}
+
+
 def test_experiment_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     _experiment(a, runs=2)
@@ -415,6 +433,11 @@ def test_experiment_reruns_are_byte_identical(tmp_path):
     ma.pop("created_at")
     mb.pop("created_at")
     assert ma == mb
+    c = tmp_path / "c"
+    _experiment(c, strategy="rule_based", runs=2)
+    for strategy, out in (("agentic", a), ("rule_based", c)):
+        for name, digest in REPORT_PINS[strategy].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (strategy, name)
 
 
 @pytest.fixture

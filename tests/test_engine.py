@@ -175,8 +175,8 @@ def test_lost_patient_fails_accounting(dataset42, monkeypatch):
     stage = engine.registration_stage
 
     def drop_first(*args):
-        done, unregistered = stage(*args)
-        return done[1:], unregistered
+        entrants, late, never = stage(*args)
+        return entrants[1:], late, never
 
     monkeypatch.setattr(engine, "registration_stage", drop_first)
     with pytest.raises(ValidationError, match="accounting"):
@@ -561,6 +561,11 @@ def test_session_metrics_match_reference(dataset42, strategy, case):
         res = run_session(patients, history, config, seed, roster=roster)
         want = _reference_metrics(res, patients, config, seed, roster or engine.default_roster())
         assert res.metrics.to_dict() == want
+        # The waits behind the figures, as waits.json writes them.
+        assert res.overall_waits == [v.wait_from_registration for v in res.served]
+        assert res.critical_waits == [
+            v.wait_from_level_entry for v in res.served if v.effective_urgency is UrgencyLevel.CRITICAL
+        ]
 
 
 @pytest.mark.parametrize("case", sorted(RESULT_CASES) + sorted(GOLDEN_DESK_CONFIGS))

@@ -106,6 +106,23 @@ def test_layer_spans_count_a_session(dataset42, monkeypatch):
     assert calls["arrivals.sample_poisson_process"] >= 1
 
 
+def test_pool_spans_count_a_token_session(dataset42, monkeypatch):
+    # The token arms' pool keeps a per-desk index instead of the slot table;
+    # token_sessions' `waitqueue.*` metrics must still count its calls.
+    calls = _count_targets(monkeypatch, lambda name: name.startswith("waitqueue."))
+    patients, history = dataset42
+    for strategy in ("fcfs", "rule_based"):
+        calls.clear()
+        res = run_session(
+            patients, history, StrategyConfig(strategy=strategy), seed=1, collect_trace=True
+        )
+        events = collections.Counter(row["event"] for row in res.trace)
+        assert events["enqueue"] > 0 and events["consult_start"] > 0
+        assert calls["waitqueue.enqueue"] == events["enqueue"]
+        assert calls["waitqueue.dequeue_next"] == events["consult_start"]
+        assert calls["waitqueue.reassess_tick"] == 0
+
+
 def test_pool_length_counts_its_entries(dataset42, monkeypatch):
     # perfbench's `reassess_tick.entries` and `dequeue_next.entries_scanned`
     # read `len(queue)`; it must stay the number of waiting entries.
@@ -122,5 +139,7 @@ def test_pool_length_counts_its_entries(dataset42, monkeypatch):
 
         monkeypatch.setattr(AdaptiveQueue, name, checking)
     patients, history = dataset42
-    run_session(patients, history, StrategyConfig(strategy="agentic"), seed=1)
-    assert max(checked) > 0
+    for strategy in ("agentic", "fcfs"):  # the slot table and the per-desk index
+        checked.clear()
+        run_session(patients, history, StrategyConfig(strategy=strategy), seed=1)
+        assert max(checked) > 0

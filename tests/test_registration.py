@@ -85,12 +85,14 @@ def arrivals_by_seed(dataset42):
 
 
 def _check(arrivals, seed, config):
-    done, unregistered = registration_stage(arrivals, _stream(seed, 2), config)
+    entrants, late, unregistered = registration_stage(arrivals, _stream(seed, 2), config)
     ref_done, ref_late, ref_unregistered = _reference_desks(arrivals, _stream(seed, 2), config)
-    assert [(t, p.patient_id) for t, p in done] == ref_done
-    assert sum(1 for t, _ in done if t >= config.session_minutes) == ref_late
+    assert [(t, p.patient_id) for t, p in entrants + late] == ref_done
+    assert all(t < config.session_minutes for t, _ in entrants)
+    assert all(t >= config.session_minutes for t, _ in late)
+    assert len(late) == ref_late
     assert unregistered == ref_unregistered
-    assert len(done) + unregistered == len(arrivals)
+    assert len(entrants) + len(late) + unregistered == len(arrivals)
 
 
 @pytest.mark.parametrize("seed", range(1000, 1005))
@@ -141,8 +143,9 @@ def test_stage_same_time_rules(dataset42):
     config = StrategyConfig(
         registration_desks=2, registration_mean=1.0, registration_std=0.0, session_minutes=1.0
     )
-    done, unregistered = registration_stage(arrivals, _stream(0, 2), config)
-    assert [(t, p.patient_id) for t, p in done] == [
+    entrants, late, unregistered = registration_stage(arrivals, _stream(0, 2), config)
+    assert entrants == []  # every registration ends at or after closing
+    assert [(t, p.patient_id) for t, p in late] == [
         (1.0, patients[0].patient_id),
         (1.0, patients[1].patient_id),
         (2.0, patients[2].patient_id),
@@ -156,8 +159,9 @@ def test_stage_same_time_rules(dataset42):
     config = StrategyConfig(
         registration_desks=1, registration_mean=1.0, registration_std=0.0, session_minutes=1.0
     )
-    done, unregistered = registration_stage(arrivals, _stream(0, 2), config)
-    assert [(t, p.patient_id) for t, p in done] == [
+    entrants, late, unregistered = registration_stage(arrivals, _stream(0, 2), config)
+    assert entrants == []
+    assert [(t, p.patient_id) for t, p in late] == [
         (1.0, patients[0].patient_id),
         (2.0, patients[2].patient_id),
     ]

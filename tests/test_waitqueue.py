@@ -1,6 +1,7 @@
 """Tests for the waiting pool: priority formula, dequeue order, reassessment."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -201,7 +202,7 @@ def test_dequeue_agentic_tie_breaks_on_arrival_then_id():
 
 def test_dequeue_scoped_to_physician():
     # Scope filters before ranking: the pool-wide best is left alone.
-    q = AdaptiveQueue()
+    q = AdaptiveQueue(pooled=False)
     q.enqueue(_ranked("P0001", 5.0, 0.1, physician="GM-1"))
     q.enqueue(_ranked("P0002", 1.0, 0.9, physician="GM-2"))
     q.enqueue(_ranked("P0003", 9.0, 0.1, physician="GM-1"))
@@ -213,9 +214,38 @@ def test_dequeue_empty_queue_is_contract_violation():
     q = AdaptiveQueue()
     with pytest.raises(ValidationError):
         q.dequeue_next()
-    q.enqueue(_entry("P0001", t=0.0, physician="GM-2"))
+    by_desk = AdaptiveQueue(pooled=False)
+    by_desk.enqueue(_entry("P0001", t=0.0, physician="GM-2"))
     with pytest.raises(ValidationError):
-        q.dequeue_next(physician_id="GM-1")
+        by_desk.dequeue_next(physician_id="GM-1")
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+def test_dequeue_of_the_other_kind_is_refused(pooled):
+    # A pooled pool is dequeued whole and a per-desk pool by desk; the other
+    # kind is refused and leaves the pool as it was.
+    q = AdaptiveQueue(pooled=pooled)
+    q.enqueue(_ranked("P0001", 0.0, 0.5, physician="GM-1"))
+    q.enqueue(_ranked("P0002", 1.0, 0.9, physician="GM-1"))
+    with pytest.raises(ValidationError, match="dequeued"):
+        q.dequeue_next("GM-1" if pooled else None)
+    assert [e.patient_id for e in q.entries()] == ["P0001", "P0002"]
+    assert q.dequeue_next(None if pooled else "GM-1").patient_id == "P0002"
+
+
+def test_sweep_of_a_per_desk_pool_is_refused():
+    # Only the agentic arm's pooled pool is reassessed.
+    q = AdaptiveQueue(pooled=False)
+    sweep = dict(backend=_backend(ALWAYS_DRIFT), history={}, memory_enabled=False,
+                 load_of=lambda pid: 0.0)
+    with pytest.raises(ValidationError, match="swept"):
+        q.reassess_tick(5.0, **sweep)
+    e = _entry("P0001", t=0.0, physician="GM-1")
+    q.enqueue(e)
+    with pytest.raises(ValidationError, match="swept"):
+        q.reassess_tick(5.0, **sweep)
+    assert (e.current_urgency, e.priority) == (UrgencyLevel.LOW, 0.0)
+    assert q.dequeue_next("GM-1") is e
 
 
 # ---------------------------------------------------------------- escalation
@@ -407,8 +437,7 @@ def _reference_escalate(entry, now, target, cause, reason):
 
 def _reference_tick(queue, now, backend, history, memory_enabled, load_of):
     """The per-entry sweep the columns replaced: one scalar check at a time,
-    escalating entries in place behind the queue's back (it never builds
-    columns: `_reference_pop` dequeues per desk)."""
+    escalating the entries of `queue`, a per-desk pool, in place."""
     events = []
     for entry in queue.entries():
         escalated_by_memory = False
@@ -438,8 +467,9 @@ def _reference_tick(queue, now, backend, history, memory_enabled, load_of):
 
 
 def _reference_pop(queue, physician_id=None):
-    """The scan dequeue_next made before the columns; pops through the
-    per-desk path, which keeps that scan, so `queue` never builds columns."""
+    """The scan dequeue_next made before the columns, over the whole of
+    `queue`, a per-desk pool, or one desk of it; pops through the per-desk
+    path, which keeps that scan."""
     pool = [e for e in queue.entries()
             if physician_id is None or e.assigned_physician == physician_id]
     best = min(pool, key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
@@ -470,8 +500,8 @@ def _random_entry(rng, patient, history, t):
 def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, seed):
     # Seeded pools of mixed levels (criticals included), several desks, and
     # history-visible entries, swept by the column code and by the reference
-    # on twin backends, with enqueues and both kinds of dequeue between
-    # sweeps.  A 1.5x multiplier caps p_medium's history probability at 1.
+    # on twin backends, with enqueues and pooled dequeues between sweeps.  A
+    # 1.5x multiplier caps p_medium's history probability at 1.
     patients, history = dataset42
     rng = np.random.default_rng(seed)
     shuffled = [patients[i] for i in rng.permutation(len(patients))]
@@ -482,7 +512,7 @@ def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, 
     arrivals = iter(cohort[i] for i in rng.permutation(len(cohort)))
     params = DriftParams(p_low=0.2, p_medium=0.7, p_high=0.1, history_multiplier=1.5,
                          p_history_escalation=p_history)
-    fast, ref = AdaptiveQueue(), AdaptiveQueue()
+    fast, ref = AdaptiveQueue(), AdaptiveQueue(pooled=False)
     fast_backend, ref_backend = _backend(params, seed), _backend(params, seed)
     t = 0.0
     n_events = n_memory = 0
@@ -495,11 +525,8 @@ def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, 
             fast.enqueue(e)
             ref.enqueue(copy.deepcopy(e))
         for _ in range(int(rng.integers(0, 4))):
-            desk = None if rng.random() < 0.7 else DESKS[int(rng.integers(0, len(DESKS)))]
-            if desk is not None and not any(e.assigned_physician == desk for e in ref.entries()):
-                continue
             if len(ref):
-                assert fast.dequeue_next(desk).patient_id == _reference_pop(ref, desk).patient_id
+                assert fast.dequeue_next().patient_id == _reference_pop(ref).patient_id
         loads = {d: float(x) for d, x in zip(DESKS, rng.uniform(-0.2, 1.2, len(DESKS)))}
         t = max(t, 5.0 * tick)
         got = fast.reassess_tick(t, fast_backend, history, memory_enabled, loads.__getitem__)
@@ -522,9 +549,10 @@ def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, 
 # ---------------------------------------------------------------- pool edges
 
 
-def _twins(entries):
-    """A pool under test and a reference twin holding deep copies."""
-    fast, ref = AdaptiveQueue(), AdaptiveQueue()
+def _twins(entries, pooled=True):
+    """A pool under test and a reference twin, a per-desk pool holding deep
+    copies."""
+    fast, ref = AdaptiveQueue(pooled=pooled), AdaptiveQueue(pooled=False)
     for e in entries:
         fast.enqueue(e)
         ref.enqueue(copy.deepcopy(e))
@@ -562,7 +590,7 @@ def test_pool_past_64_and_128_entries_matches_reference(dataset42):
     params = DriftParams(p_low=0.1, p_medium=0.3, p_high=0.05, p_history_escalation=0.5)
     backends = (_backend(params, 11), _backend(params, 11))
     loads = dict(zip(DESKS, (0.0, 0.25, 0.5, 1.0)))
-    fast, ref = AdaptiveQueue(), AdaptiveQueue()
+    fast, ref = _twins([])
     t, sizes = 0.0, []
     for batch, pops in ((70, 3), (70, 5), (60, 4)):
         for _ in range(batch):
@@ -583,10 +611,10 @@ def test_pool_past_64_and_128_entries_matches_reference(dataset42):
 def test_exact_priority_ties_go_to_enqueue_time_then_id():
     # Five entries share one priority: earliest enqueue first, then id.
     entries = [
-        _ranked(pid, t, 0.5)
+        _ranked(pid, t, 0.5, physician="D1")
         for pid, t in [("P0005", 3.0), ("P0004", 1.0), ("P0001", 2.0), ("P0003", 1.0), ("P0002", 1.0)]
     ]
-    entries.insert(2, _ranked("P0009", 9.0, 0.75))
+    entries.insert(2, _ranked("P0009", 9.0, 0.75, physician="D2"))
     fast, ref = _twins(entries)
     order = [_pop_twins(fast, ref) for _ in range(len(entries))]
     assert order == ["P0009", "P0002", "P0003", "P0004", "P0001", "P0005"]
@@ -610,80 +638,55 @@ def test_sweep_made_ties_go_to_enqueue_time_then_id():
     assert order == ["P0001", "P0003", "P0005", "P0002", "P0004", "P0006"]
 
 
-def test_per_desk_dequeue_after_pooled_dequeue(dataset42):
-    # A pooled dequeue and a sweep build the pool's columns; per-desk
-    # dequeues, enqueues and sweeps after that must still agree.
-    patients, history = dataset42
-    rng = np.random.default_rng(5)
-    cohort = iter(patients[i] for i in rng.permutation(len(patients)))
-    params = DriftParams(p_low=0.2, p_medium=0.5, p_high=0.1, p_history_escalation=0.5)
-    backends = (_backend(params, 5), _backend(params, 5))
-    loads = dict(zip(DESKS, (0.5, 0.0, 1.0, 0.25)))
-    fast, ref = _twins([_random_entry(rng, next(cohort), history, 0.1 * k) for k in range(20)])
-    _pop_twins(fast, ref)
-    for step in range(6):
-        _sweep_twins(fast, ref, backends, 5.0 * (step + 1), history, loads)
-        for desk in DESKS[: 2 + step % 3]:
-            if any(e.assigned_physician == desk for e in ref.entries()):
-                _pop_twins(fast, ref, desk)
-        e = _random_entry(rng, next(cohort), history, 5.0 * (step + 1))
-        fast.enqueue(e)
-        ref.enqueue(copy.deepcopy(e))
-        _pop_twins(fast, ref)
-    while len(ref):
-        _pop_twins(fast, ref)
-
-
 @pytest.mark.parametrize("first_pop_desk", [None, "D1"])
 def test_reenqueue_of_a_dequeued_id(first_pop_desk):
     # An id may return to the pool once it has left it; the new entry is
-    # ranked as the newest, and the old one leaves no trace.
+    # ranked as the newest, and the old one leaves no trace.  A pool popped
+    # whole (first_pop_desk None) is swept too; a per-desk pool pops by desk.
+    pooled = first_pop_desk is None
     fast, ref = _twins([
         _ranked("P0001", 0.0, 0.9, physician="D1"),
         _ranked("P0002", 1.0, 0.4, physician="D2"),
         _ranked("P0003", 2.0, 0.4, physician="D1"),
-    ])
-    assert _pop_twins(fast, ref, first_pop_desk) == "P0001"
+    ], pooled)
+
+    def pop(desk):
+        return _pop_twins(fast, ref, None if pooled else desk)
+
+    assert pop(first_pop_desk) == "P0001"
     with pytest.raises(ValidationError):
         fast.enqueue(_ranked("P0002", 3.0, 0.1))
     back = _ranked("P0001", 3.0, 0.4, physician="D2")
     fast.enqueue(back)
     ref.enqueue(copy.deepcopy(back))
     _assert_same_pool(fast, ref)
-    assert [_pop_twins(fast, ref) for _ in range(3)] == ["P0002", "P0003", "P0001"]
-    backends = (_backend(NEVER_DRIFT), _backend(NEVER_DRIFT))
+    assert [pop(desk) for desk in ("D2", "D1", "D2")] == ["P0002", "P0003", "P0001"]
     again = _ranked("P0001", 4.0, 0.0, physician="D1")
     fast.enqueue(again)
     ref.enqueue(copy.deepcopy(again))
-    _sweep_twins(fast, ref, backends, 10.0, {}, {"D1": 0.0, "D2": 0.0})
-    assert _pop_twins(fast, ref) == "P0001"
+    if pooled:
+        backends = (_backend(NEVER_DRIFT), _backend(NEVER_DRIFT))
+        _sweep_twins(fast, ref, backends, 10.0, {}, {"D1": 0.0, "D2": 0.0})
+    assert pop("D1") == "P0001"
     assert len(fast) == 0
 
 
 # ---------------------------------------------------------------- dequeue differential
 
 _POOL_IDS = [f"P{k:04d}" for k in range(1, 9)]
-# enqueue: id, clock step (0 makes exact enqueue-time ties), desk, level, priority
-_ENQUEUE = st.tuples(
-    st.just("enqueue"), st.sampled_from(_POOL_IDS), st.sampled_from([0.0, 0.0, 1.0]),
-    st.sampled_from(DESKS[:3]), st.sampled_from(list(UrgencyLevel)), st.sampled_from([0.0, 0.5, 0.5]),
-)
-_POOL_OPS = st.one_of(
-    _ENQUEUE, _ENQUEUE, st.tuples(st.just("pop"), st.sampled_from([None, *DESKS[:3]])),
-    st.tuples(st.just("sweep")),
-)
+# enqueue: id, clock step (0 makes exact enqueue-time ties), desk, level,
+# priority; one draw from the product is cheaper than one per field.
+_ENQUEUE = st.sampled_from(list(itertools.product(
+    ["enqueue"], _POOL_IDS, [0.0, 0.0, 1.0], DESKS[:3], list(UrgencyLevel), [0.0, 0.5, 0.5],
+)))
+_POOLED_OPS = st.one_of(_ENQUEUE, _ENQUEUE, st.just(("pop", None)), st.just(("sweep",)))
+_PER_DESK_OPS = st.one_of(_ENQUEUE, _ENQUEUE, st.sampled_from([("pop", d) for d in DESKS[:3]]))
 
 
-# No shrink phase: a failing example is reported as found, since shrinking
-# one of these op lists has taken minutes.
-@settings(derandomize=True, max_examples=150, deadline=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
-@given(ops=st.lists(_POOL_OPS, min_size=10, max_size=60))
-def test_dequeues_match_a_full_pool_min(ops):
-    # Enqueues (repeated ids come back once dequeued), per-desk and pooled
-    # dequeues and sweeps, in any order: each dequeue returns the entry a
-    # plain min over the whole pool picks, whichever index served it.
-    q = AdaptiveQueue()
+def _run_pool_ops(q, ops):
+    """Apply `ops` to `q`: enqueues (a repeated id is refused while queued
+    and comes back once dequeued), dequeues, each of which must return the
+    entry a plain min over the whole pool or the desk picks, and sweeps."""
     backend = _backend(DriftParams(p_low=0.3, p_medium=0.3, p_high=0.3))
     loads = dict(zip(DESKS, (0.0, 0.5, 1.0, 0.25)))
     t = 0.0
@@ -709,8 +712,28 @@ def test_dequeues_match_a_full_pool_min(ops):
             assert want not in q.entries()
         else:
             q.reassess_tick(t, backend, {}, memory_enabled=False, load_of=loads.__getitem__)
-    # The per-desk index, built at the first per-desk dequeue (or here), holds
-    # the pool's entries under their desks.
+
+
+# No shrink phase: a failing example is reported as found, since shrinking
+# one of these op lists has taken minutes.
+_DIFFERENTIAL = settings(derandomize=True, max_examples=75, deadline=None,
+                         phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+
+
+@_DIFFERENTIAL
+@given(ops=st.lists(_POOLED_OPS, min_size=10, max_size=60))
+def test_dequeues_match_a_full_pool_min(ops):
+    # Enqueues, pooled dequeues and sweeps, in any order.
+    _run_pool_ops(AdaptiveQueue(), ops)
+
+
+@_DIFFERENTIAL
+@given(ops=st.lists(_PER_DESK_OPS, min_size=10, max_size=60))
+def test_per_desk_dequeues_match_a_desk_min(ops):
+    # Enqueues and per-desk dequeues in any order; after them the per-desk
+    # index holds the pool's entries under their desks.
+    q = AdaptiveQueue(pooled=False)
+    _run_pool_ops(q, ops)
     index = q.by_desk()
     assert sorted(e.patient_id for es in index.values() for e in es.values()) == sorted(
         e.patient_id for e in q.entries())
