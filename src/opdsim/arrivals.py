@@ -70,9 +70,8 @@ class IntensityProfile:
 
 
 @functools.cache
-def default_profile(total: int = N_PATIENTS) -> IntensityProfile:
-    shape = IntensityProfile(DEFAULT_SHAPE)
-    return shape.scaled_to_total(total)
+def default_profile() -> IntensityProfile:
+    return IntensityProfile(DEFAULT_SHAPE).scaled_to_total(N_PATIENTS)
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -114,22 +113,20 @@ def sample_poisson_process(
     return candidates[keep]
 
 
-def sample_arrivals(profile: IntensityProfile, n_patients: int, seed_or_rng) -> np.ndarray:
-    """Exactly `n_patients` arrival times: resample whole trajectories until
+def sample_arrivals(profile: IntensityProfile, seed_or_rng) -> np.ndarray:
+    """Exactly `N_PATIENTS` arrival times: resample whole trajectories until
     the realised count matches.
 
-    The count requirement is part of the experimental design (identical case
-    mix in every run), so a mismatched dataset size is a caller error.
+    The count is part of the experimental design (identical case mix in
+    every run), so it is the cohort size, not a parameter.
     """
-    if n_patients != N_PATIENTS:
-        raise ValidationError(f"arrival sampling is defined for the {N_PATIENTS}-patient cohort")
-    if abs(profile.integral() - n_patients) > 0.5 * n_patients:
-        raise ValidationError("profile integral is far from the requested count; resampling would stall")
+    if abs(profile.integral() - N_PATIENTS) > 0.5 * N_PATIENTS:
+        raise ValidationError("profile integral is far from the cohort size; resampling would stall")
     rng = _as_rng(seed_or_rng)
     for _ in range(MAX_RESAMPLE_ATTEMPTS):
-        times = sample_poisson_process(profile, rng, count=n_patients)
+        times = sample_poisson_process(profile, rng, count=N_PATIENTS)
         if times is not None:
             return times
     raise ValidationError(
-        f"could not realise exactly {n_patients} arrivals in {MAX_RESAMPLE_ATTEMPTS} attempts"
+        f"could not realise exactly {N_PATIENTS} arrivals in {MAX_RESAMPLE_ATTEMPTS} attempts"
     )

@@ -315,13 +315,14 @@ class _Session:
         if self.collect_trace:
             self.record(t, "reg_done", patient.patient_id)
         urgency, acuity = self.backend.triage_face_value(patient)
+        visible = patient.has_history and self.config.memory_enabled  # where the switch acts
         entry = QueueEntry(
             patient=patient,
             enqueue_time=t,
             face_urgency=urgency,
             current_urgency=urgency,
             current_acuity=acuity,
-            memory_available=patient.has_history and patient.patient_id in self.history,
+            record=self.history.get(patient.patient_id) if visible else None,
         )
         physician = assign(patient, self.roster, self.strategy, self.rr_cursor)
         self.rr_cursor += 1  # only round-robin reads it
@@ -344,13 +345,7 @@ class _Session:
             self.dispatch_due = True  # a room can take this patient now
 
     def on_reassess(self, t: float, desk_events_ahead: bool):
-        events = self.queue.reassess_tick(
-            t,
-            self.backend,
-            self.history,
-            memory_enabled=self.config.memory_enabled,
-            load_of=self.load_of,
-        )
+        events = self.queue.reassess_tick(t, self.backend, self.load_of)
         self.escalations += events
         for ev in events if self.collect_trace else ():  # no details to format otherwise
             self.record(t, "escalation", ev.patient_id, detail=f"{ev.from_level.value}->{ev.to_level.value}:{ev.cause}")
@@ -407,7 +402,7 @@ class _Session:
 
     def run(self):
         n = len(self.patients)
-        times = sample_arrivals(default_profile(n), n, _stream(self.seed, _STREAM_ARRIVALS))
+        times = sample_arrivals(default_profile(), _stream(self.seed, _STREAM_ARRIVALS))
         order = _stream(self.seed, _STREAM_PAIRING).permutation(n)
         arrivals = [(t, self.patients[i]) for t, i in zip(times.tolist(), order.tolist())]
         regs, late, self.unregistered = registration_stage(

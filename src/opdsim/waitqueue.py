@@ -1,10 +1,11 @@
 """The post-registration waiting pool and its reassessment loop.
 
 Entries carry both the grade a patient presented with (face urgency) and the
-grade they currently hold (which escalation can raise, never lower).  Periodic
-reassessment sweeps the pool: memory-driven escalation is checked first for
-patients with a visible history record, then stochastic deterioration; a
-patient escalated by memory is not also drifted on the same sweep.
+grade they currently hold (which escalation can raise, never lower), and the
+history record their assessor can see, if any.  Periodic reassessment sweeps
+the pool: memory-driven escalation is checked first for patients with a
+record, then stochastic deterioration; a patient escalated by memory is not
+also drifted on the same sweep.
 
 Dequeue order is one rule for every strategy: highest `priority` first, then
 earliest enqueue, then patient id.  The engine sets `priority` to the rank
@@ -14,6 +15,7 @@ its strategy wants.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +45,6 @@ _COLUMNS = {
     "_priority": np.float64,
     "_memory": np.bool_,  # history record visible
     "_chart": np.bool_,  # the record's rule may still raise the level
-    "_live": np.bool_,
 }
 
 
@@ -86,7 +87,8 @@ class QueueEntry:
     current_urgency: UrgencyLevel
     current_acuity: int
     assigned_physician: str | None = None
-    memory_available: bool = False
+    # The history record the assessor can see: None without one, or with memory off.
+    record: HistoryRecord | None = None
     # Dequeue rank, highest first.
     priority: float = 0.0
     # When the patient entered their current urgency level; equals
@@ -158,10 +160,12 @@ class AdaptiveQueue:
     A pooled pool keeps a slot table: one slot per enqueue, in enqueue order,
     and one array per column (see `_COLUMNS`).  A dequeued slot is marked
     dead and never moved: its rank reads critical, so no sweep checks it, and
-    its enqueue time and priority read -inf, so no dequeue takes it.  Live
-    slots are thus in the order of `_entries`.  An entry's level, acuity and
-    `priority` are read when its slot is written; after that only sweeps
-    change them.  A per-desk pool keeps each desk's entries (`by_desk`).
+    its enqueue time and priority read -inf, so no dequeue takes it; `enqueue`
+    takes only finite ones, so a slot is live exactly when its enqueue time
+    is.  Live slots are thus in the order of `_entries`.  An entry's level,
+    acuity, record and `priority` are read when its slot is written; after
+    that only sweeps change them.  A per-desk pool keeps each desk's entries
+    (`by_desk`).
     """
 
     def __init__(self, weights: PriorityWeights | None = None, pooled: bool = True):
@@ -183,12 +187,14 @@ class AdaptiveQueue:
     def enqueue(self, entry: QueueEntry) -> None:
         if entry.patient_id in self._entries:
             raise ValidationError(f"{entry.patient_id} is already queued")
+        if not math.isfinite(entry.enqueue_time) or not math.isfinite(entry.priority):
+            raise ValidationError(f"{entry.patient_id} needs a finite enqueue time and priority")
         self._entries[entry.patient_id] = entry
         if not self._pooled:
             self._by_desk.setdefault(entry.assigned_physician, {})[entry.patient_id] = entry
             return
         i = len(self._rows)
-        if i == len(self._live):
+        if i == len(self._rank):
             for name in _COLUMNS:
                 col = getattr(self, name)
                 setattr(self, name, np.concatenate((col, np.empty(max(i, 64), col.dtype))))
@@ -197,8 +203,7 @@ class AdaptiveQueue:
         self._enqueued[i] = entry.enqueue_time
         self._desk[i] = self._desk_codes.setdefault(entry.assigned_physician, len(self._desk_codes))
         self._priority[i] = entry.priority
-        self._memory[i] = self._chart[i] = entry.memory_available
-        self._live[i] = True
+        self._memory[i] = self._chart[i] = entry.record is not None
         self._rows.append(entry)
 
     def _level_terms_of(self, entry: QueueEntry) -> float:
@@ -233,30 +238,22 @@ class AdaptiveQueue:
         top = priority[i]
         # argmax takes the first maximum, so a tie lies after it; a[a.argmax()] is a cheap a.max().
         if i + 1 < n and priority[i + 1 + priority[i + 1 :].argmax()] == top:
-            tied = ((priority == top) & self._live[:n]).nonzero()[0].tolist()
+            tied = (priority == top).nonzero()[0].tolist()
             i = min(tied, key=lambda j: (rows[j].enqueue_time, rows[j].patient_id))
         entry = rows[i]
         rows[i] = None
         self._rank[i] = _CRITICAL
         self._enqueued[i] = self._priority[i] = -np.inf
-        self._live[i] = False
         return self._entries.pop(entry.patient_id)
 
-    def reassess_tick(
-        self,
-        now: float,
-        backend: CalibratedTriageBackend,
-        history: dict[str, HistoryRecord],
-        memory_enabled: bool,
-        load_of,
-    ) -> list[EscalationEvent]:
+    def reassess_tick(self, now: float, backend: CalibratedTriageBackend, load_of) -> list[EscalationEvent]:
         """One sweep over the pool in enqueue order.  The engine schedules
         sweeps only when drift checking is on.
 
-        For each entry: if memory is on, the record is visible, and its target
-        still exceeds the current level, run the history check; when it fires,
-        the entry reaches the target (so it is never checked again) and skips
-        drift this sweep.  Otherwise run one deterioration check — critical
+        For each entry: if it carries a record whose target still exceeds the
+        current level, run the history check; when it fires, the entry
+        reaches the target (so it is never checked again) and skips drift
+        this sweep.  Otherwise run one deterioration check — critical
         patients are already at ceiling and are never checked.
         `load_of(physician_id)` supplies normalised desk load for the priority
         refresh applied to every entry at the end; it is asked once per desk
@@ -277,12 +274,12 @@ class AdaptiveQueue:
         if now < enqueued[enqueued.argmax()]:  # the latest enqueue
             raise ValidationError(f"reassessment at t={now} precedes an enqueue")
         # The live slots that may drift, in pool order, with the level and
-        # history visibility their checks read.  Only a slot's own check
+        # record visibility their checks read.  Only a slot's own check
         # changes its level, so these are read once, before any check.
         drifting = (rank < _CRITICAL).nonzero()[0]
         drift_rows = drifting.tolist()
         drift_ranks = rank[drifting]
-        drift_visible = self._memory[drifting] & memory_enabled
+        drift_visible = self._memory[drifting]
         events: list[EscalationEvent] = []
 
         def escalate(i: int, target: UrgencyLevel, cause: str, reason: str) -> None:
@@ -303,11 +300,11 @@ class AdaptiveQueue:
         # target.  Levels only rise and records do not change, so a settled
         # slot is never asked again.
         start = 0  # first drift row not yet checked
-        for pos in self._chart[drifting].nonzero()[0].tolist() if memory_enabled else ():
+        for pos in self._chart[drifting].nonzero()[0].tolist():
             i = drift_rows[pos]
             entry = rows[i]
-            record = history.get(entry.patient_id)
-            if record is None or record.escalation_rule.target.rank <= entry.current_urgency.rank:
+            record = entry.record
+            if record.escalation_rule.target.rank <= entry.current_urgency.rank:
                 self._chart[i] = False
                 continue
             drift(start, pos)
@@ -324,7 +321,7 @@ class AdaptiveQueue:
         load = np.array([w.load * (1.0 - min(max(load_of(d), 0.0), 1.0)) for d in self._desk_codes])
         wait_term = w.wait_cap * np.minimum((now - enqueued) / w.wait_horizon, 1.0)
         priority = level_terms + w.waiting * wait_term + load[self._desk[:n]]
-        live = self._live[:n]
+        live = enqueued > -np.inf
         np.copyto(self._priority[:n], priority, where=live)  # dead slots keep -inf
         for entry, p in zip(self._entries.values(), priority[live].tolist()):
             entry.priority = p

@@ -120,6 +120,29 @@ def test_argmax_invariant_under_roster_permutation():
     assert assign_scored(_patient(Specialty.GENERAL_MEDICINE), reordered).physician_id == chosen.physician_id
 
 
+# A room: specialty, status and queue length; short queues make ties common.
+_ROOM = st.tuples(
+    st.sampled_from(list(Specialty)),
+    st.sampled_from(list(PhysicianStatus)),
+    st.integers(min_value=0, max_value=5),
+)
+
+
+@given(
+    rooms=st.lists(_ROOM, min_size=1, max_size=8),
+    ids=st.permutations(range(8)),
+    need=st.sampled_from(list(Specialty)),
+)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_assign_scored_takes_the_best_public_score(rooms, ids, need):
+    # The one-pass pick is the highest score_assignment total, ties to the
+    # lowest id; ids are shuffled so roster order is not id order.
+    roster = [Physician(f"R{k}", *room) for k, room in zip(ids, rooms)]
+    patient = _patient(need)
+    want = min(roster, key=lambda p: (-score_assignment(patient, p, roster).total, p.physician_id))
+    assert assign_scored(patient, roster) is want
+
+
 def test_round_robin_cycles_in_roster_order():
     roster = default_roster()
     seen = [assign_round_robin(roster, c).physician_id for c in range(12)]

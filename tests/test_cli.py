@@ -418,6 +418,13 @@ REPORT_PINS = {
         "escalations.csv": "4437a0118ff57bf186430ece4331ef8e5f89e9c1520de7a3126f92c49cbb5c21",
         "summary.csv": "42b79efd800007d07ef6ed977f7f580244c4ee32aa3471aa3065045c92330797",
     },
+    # The ablation arm: no entry carries a history record.
+    "agentic --no-memory": {
+        "runs.jsonl": "9e7d830a1d9060f0bcba73c45084a8707d145261aa9ef912e70a662340d049ee",
+        "waits.json": "e37737e59f547ad3ac1394a37e86d6ae2c6c24c80e5dfbfcbdb1846f5bc8b745",
+        "escalations.csv": "5f2e8d98e19ca0b83fddab3a60c510edc8fb3cda45d2b21fff4701f595f37baa",
+        "summary.csv": "0fb92bb7b6f7d28dacf3d4cf1aa49e9ffb37844c7f3da10a0d7b131225ccf44a",
+    },
 }
 
 
@@ -438,6 +445,12 @@ def test_experiment_reruns_are_byte_identical(tmp_path):
     for strategy, out in (("agentic", a), ("rule_based", c)):
         for name, digest in REPORT_PINS[strategy].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (strategy, name)
+
+
+def test_memory_off_experiment_is_pinned(tmp_path):
+    _experiment(tmp_path, runs=2, extra=["--no-memory"])
+    for name, digest in REPORT_PINS["agentic --no-memory"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """End-to-end session tests: conservation, determinism, golden pins, ablations."""
 
+import collections
 import csv
 import hashlib
 import io
@@ -394,6 +395,38 @@ def test_drift_only_never_uses_memory(dataset42):
     assert res.metrics.memory_escalation_count == 0
     assert res.metrics.drift_event_count > 0
     assert res.metrics.escalation_count == res.metrics.drift_event_count
+
+
+@pytest.mark.parametrize("memory", [True, False])
+def test_memory_switch_decides_which_entries_carry_a_record(dataset42, monkeypatch, memory):
+    # The engine hands each entry the record its assessor may see; with memory
+    # off none carries one, so sweeps run drift checks and no chart check.
+    patients, history = dataset42
+    enqueued, calls = [], collections.Counter()
+
+    def spy(cls, name, note):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            note(self, *args)
+            return method(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    spy(engine.AdaptiveQueue, "enqueue", lambda q, entry: enqueued.append(entry))
+    for name in ("assess_history_escalation", "assess_drift_batch"):
+        spy(engine.CalibratedTriageBackend, name, lambda b, *a, name=name: calls.update([name]))
+    cfg = StrategyConfig(strategy="agentic", memory_enabled=memory)
+    run_session(patients, history, cfg, seed=5)
+    assert len(enqueued) > 200
+    carried = {e.patient_id: e.record for e in enqueued if e.record is not None}
+    if memory:
+        assert carried and all(history[pid] is r for pid, r in carried.items())
+        assert carried.keys() == {e.patient_id for e in enqueued if e.patient.has_history}
+        assert calls["assess_history_escalation"] > 0
+    else:
+        assert carried == {} and calls["assess_history_escalation"] == 0
+    assert calls["assess_drift_batch"] > 0
 
 
 def test_run_ablations_covers_all_variants(dataset42):

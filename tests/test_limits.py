@@ -2,11 +2,12 @@
 outcome of a session is known without simulating it."""
 
 import collections
+import dataclasses
 import math
 
 import pytest
 
-from opdsim.assignment import Physician
+from opdsim.assignment import Physician, default_roster
 from opdsim.engine import StrategyConfig, run_session
 from opdsim.patients import Specialty, UrgencyLevel
 from opdsim.triage import DriftParams
@@ -101,3 +102,49 @@ def test_ample_capacity_means_no_wait(dataset42, strategy, seed):
     assert m.final_composition == {lvl.value: faces[lvl.value] for lvl in UrgencyLevel}
     assert m.served_count + m.unserved_count == len(patients)
     assert math.isclose(m.served_count, len(patients), rel_tol=0.05)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_room_one_desk_fcfs_is_a_single_server_queue(dataset42, seed):
+    # One desk and one room: fcfs calls patients in registration order, each
+    # as soon as both they and the room are ready (Lindley's recursion).
+    patients, history = dataset42
+    config = StrategyConfig(strategy="fcfs", registration_desks=1)
+    res = run_session(patients, history, config, seed,
+                      roster=[Physician("R00", Specialty.GENERAL_MEDICINE)], collect_trace=True)
+    served = res.served
+    assert len(served) > 40
+    registered = list(_enqueue_times(res))
+    assert [v.patient_id for v in served] == registered[: len(served)]
+    free = -math.inf
+    for v in served:
+        assert v.consult_start == max(v.registered_at, free)
+        free = v.consult_end
+    assert served[0].consult_start == served[0].registered_at
+
+
+def _relabelled(patients, history):
+    """The cohort with every patient id's P replaced by Q, order kept."""
+    rename = {p.patient_id: "Q" + p.patient_id[1:] for p in patients}
+    assert sorted(rename.values()) == [rename[k] for k in sorted(rename)]
+    return (
+        [dataclasses.replace(p, patient_id=rename[p.patient_id]) for p in patients],
+        {rename[k]: dataclasses.replace(r, patient_id=rename[k]) for k, r in history.items()},
+    )
+
+
+@pytest.mark.parametrize("strategy", ["fcfs", "rule_based", "agentic"])
+@pytest.mark.parametrize("seed", (1000, 1003))
+def test_metrics_do_not_depend_on_labels(dataset42, strategy, seed):
+    # Ids only break ties, and renaming P->Q and D->E keeps their order, so
+    # every metric is unchanged; per-room counts are compared by position.
+    patients, history = dataset42
+    roster = default_roster()
+    renamed = [dataclasses.replace(p, physician_id="E" + p.physician_id[1:]) for p in roster]
+    config = StrategyConfig(strategy=strategy)
+    a = run_session(patients, history, config, seed, roster=roster).metrics.to_dict()
+    b = run_session(*_relabelled(patients, history), config, seed, roster=renamed).metrics.to_dict()
+    rooms_a, rooms_b = a.pop("per_physician_served"), b.pop("per_physician_served")
+    assert list(rooms_b) == [p.physician_id for p in renamed]
+    assert list(rooms_a.values()) == list(rooms_b.values())
+    assert a == b

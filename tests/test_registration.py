@@ -78,7 +78,7 @@ def arrivals_by_seed(dataset42):
     patients, _history = dataset42
     out = {}
     for seed in range(1000, 1005):
-        times = sample_arrivals(default_profile(N_PATIENTS), N_PATIENTS, _stream(seed, 0))
+        times = sample_arrivals(default_profile(), _stream(seed, 0))
         order = _stream(seed, 1).permutation(N_PATIENTS)
         out[seed] = [(float(t), patients[int(i)]) for t, i in zip(times, order)]
     return out

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -52,8 +53,8 @@ def _patient(pid="P9001", urgency=UrgencyLevel.LOW, acuity=2, has_history=False)
 
 
 def _entry(pid="P9001", t=0.0, urgency=UrgencyLevel.LOW, acuity=2,
-           physician=None, memory=False, patient=None):
-    p = patient if patient is not None else _patient(pid, urgency, acuity, memory)
+           physician=None, record=None, patient=None):
+    p = patient if patient is not None else _patient(pid, urgency, acuity, record is not None)
     return QueueEntry(
         patient=p,
         enqueue_time=t,
@@ -61,7 +62,7 @@ def _entry(pid="P9001", t=0.0, urgency=UrgencyLevel.LOW, acuity=2,
         current_urgency=urgency,
         current_acuity=acuity,
         assigned_physician=physician,
-        memory_available=memory,
+        record=record,
     )
 
 
@@ -156,6 +157,24 @@ def _ranked(pid, t, priority, **kw):
     return e
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["enqueue_time", "priority"])
+@pytest.mark.parametrize("pooled", [True, False])
+def test_enqueue_refuses_a_non_finite_time_or_priority(pooled, field, value):
+    # A dequeued slot reads -inf, so a live one must hold finite values; and
+    # both kinds of pool must agree on where a NaN priority would go.
+    q = AdaptiveQueue(pooled=pooled)
+    kept = _ranked("P0001", 0.0, 0.5, physician="D1")
+    q.enqueue(kept)
+    bad = _ranked("P0002", 1.0, 0.4, physician="D1")
+    setattr(bad, field, value)
+    with pytest.raises(ValidationError, match="finite"):
+        q.enqueue(bad)
+    assert q.entries() == [kept]
+    assert q.dequeue_next(None if pooled else "D1") is kept
+    assert len(q) == 0
+
+
 def test_dequeue_fcfs_takes_earliest():
     # fcfs leaves every priority at 0.0, so enqueue time decides.
     q = AdaptiveQueue()
@@ -236,8 +255,7 @@ def test_dequeue_of_the_other_kind_is_refused(pooled):
 def test_sweep_of_a_per_desk_pool_is_refused():
     # Only the agentic arm's pooled pool is reassessed.
     q = AdaptiveQueue(pooled=False)
-    sweep = dict(backend=_backend(ALWAYS_DRIFT), history={}, memory_enabled=False,
-                 load_of=lambda pid: 0.0)
+    sweep = dict(backend=_backend(ALWAYS_DRIFT), load_of=lambda pid: 0.0)
     with pytest.raises(ValidationError, match="swept"):
         q.reassess_tick(5.0, **sweep)
     e = _entry("P0001", t=0.0, physician="GM-1")
@@ -296,20 +314,18 @@ def test_reassess_memory_fires_once_then_ceiling(dataset42):
     patient = next(p for p in patients if p.patient_id == pid)
     q = AdaptiveQueue()
     e = _entry(t=0.0, urgency=patient.face_urgency, acuity=patient.face_acuity,
-               memory=True, patient=patient)
+               record=record, patient=patient)
     q.enqueue(e)
     backend = _backend(DriftParams(p_low=1.0, p_medium=1.0, p_high=1.0,
                                    p_history_escalation=1.0))
-    first = q.reassess_tick(5.0, backend, history, memory_enabled=True,
-                            load_of=lambda pid: 0.0)
+    first = q.reassess_tick(5.0, backend, load_of=lambda pid: 0.0)
     assert len(first) == 1
     assert first[0].cause == CAUSE_MEMORY
     assert first[0].to_level is UrgencyLevel.CRITICAL
     assert e.current_urgency is UrgencyLevel.CRITICAL
     assert e.level_entry_time == 5.0
     # Next sweep: the history check already fired and critical cannot drift.
-    second = q.reassess_tick(10.0, backend, history, memory_enabled=True,
-                             load_of=lambda pid: 0.0)
+    second = q.reassess_tick(10.0, backend, load_of=lambda pid: 0.0)
     assert second == []
 
 
@@ -324,7 +340,7 @@ def test_reassess_asks_the_chart_until_the_rule_fires(dataset42):
     patient = next(p for p in patients if p.patient_id == pid)
     q = AdaptiveQueue()
     e = _entry(t=0.0, urgency=patient.face_urgency, acuity=patient.face_acuity,
-               memory=True, patient=patient)
+               record=record, patient=patient)
     q.enqueue(e)
     backend = _backend(DriftParams(p_low=0.0, p_medium=0.0, p_high=0.0,
                                    p_history_escalation=0.5), seed=4)
@@ -338,8 +354,7 @@ def test_reassess_asks_the_chart_until_the_rule_fires(dataset42):
     backend.assess_history_escalation = counting
     events = []
     for k in range(1, 41):
-        events += q.reassess_tick(5.0 * k, backend, history, memory_enabled=True,
-                                  load_of=lambda pid: 0.0)
+        events += q.reassess_tick(5.0 * k, backend, load_of=lambda pid: 0.0)
     fired = [a for a in answers if a is not None]
     assert fired == [record.escalation_rule]
     assert answers[-1] is not None
@@ -360,12 +375,11 @@ def test_reassess_memory_preempts_drift_same_sweep(dataset42):
     patient = next(p for p in patients if p.patient_id == pid)
     q = AdaptiveQueue()
     e = _entry(t=0.0, urgency=patient.face_urgency, acuity=patient.face_acuity,
-               memory=True, patient=patient)
+               record=record, patient=patient)
     q.enqueue(e)
     backend = _backend(DriftParams(p_low=1.0, p_medium=1.0, p_high=1.0,
                                    p_history_escalation=1.0))
-    events = q.reassess_tick(5.0, backend, history, memory_enabled=True,
-                             load_of=lambda pid: 0.0)
+    events = q.reassess_tick(5.0, backend, load_of=lambda pid: 0.0)
     assert [ev.cause for ev in events] == [CAUSE_MEMORY]
     assert e.current_urgency is UrgencyLevel.HIGH
 
@@ -377,8 +391,7 @@ def test_reassess_drift_climbs_one_level_per_sweep():
     backend = _backend(ALWAYS_DRIFT)
     seen = []
     for tick in (5.0, 10.0, 15.0, 20.0):
-        seen += q.reassess_tick(tick, backend, {}, memory_enabled=False,
-                                load_of=lambda pid: 0.0)
+        seen += q.reassess_tick(tick, backend, load_of=lambda pid: 0.0)
     # Three sweeps climb low -> medium -> high -> critical; the fourth finds
     # the entry at the ceiling and leaves it alone.
     assert [ev.to_level for ev in seen] == [
@@ -396,8 +409,7 @@ def test_reassess_refreshes_all_priorities():
     q.enqueue(b)
     loads = {"GM-1": 0.25, "GM-2": 1.0}
     backend = _backend(NEVER_DRIFT)
-    events = q.reassess_tick(30.0, backend, {}, memory_enabled=False,
-                             load_of=loads.__getitem__)
+    events = q.reassess_tick(30.0, backend, load_of=loads.__getitem__)
     assert events == []
     for entry in (a, b):
         assert entry.priority == priority_score(entry, 30.0, loads[entry.assigned_physician])
@@ -413,13 +425,12 @@ def test_reassess_memory_skipped_once_target_reached(dataset42):
     )
     patient = next(p for p in patients if p.patient_id == pid)
     q = AdaptiveQueue()
-    e = _entry(t=0.0, urgency=UrgencyLevel.HIGH, acuity=7, memory=True,
+    e = _entry(t=0.0, urgency=UrgencyLevel.HIGH, acuity=7, record=record,
                patient=patient)
     q.enqueue(e)
     backend = _backend(DriftParams(p_low=1.0, p_medium=1.0, p_high=1.0,
                                    p_history_escalation=1.0))
-    events = q.reassess_tick(5.0, backend, history, memory_enabled=True,
-                             load_of=lambda pid: 0.0)
+    events = q.reassess_tick(5.0, backend, load_of=lambda pid: 0.0)
     assert [ev.cause for ev in events] == [CAUSE_DRIFT]
     assert e.current_urgency is UrgencyLevel.CRITICAL
 
@@ -435,24 +446,22 @@ def _reference_escalate(entry, now, target, cause, reason):
     return event
 
 
-def _reference_tick(queue, now, backend, history, memory_enabled, load_of):
+def _reference_tick(queue, now, backend, load_of):
     """The per-entry sweep the columns replaced: one scalar check at a time,
     escalating the entries of `queue`, a per-desk pool, in place."""
     events = []
     for entry in queue.entries():
         escalated_by_memory = False
-        if memory_enabled and entry.memory_available:
-            record = history.get(entry.patient_id)
-            if record is not None and record.escalation_rule.target.rank > entry.current_urgency.rank:
-                rule = backend.assess_history_escalation(entry.patient, record)
-                if rule is not None:
-                    events.append(
-                        _reference_escalate(entry, now, rule.target, CAUSE_MEMORY, rule.reason)
-                    )
-                    escalated_by_memory = True
+        record = entry.record
+        if record is not None and record.escalation_rule.target.rank > entry.current_urgency.rank:
+            rule = backend.assess_history_escalation(entry.patient, record)
+            if rule is not None:
+                events.append(
+                    _reference_escalate(entry, now, rule.target, CAUSE_MEMORY, rule.reason)
+                )
+                escalated_by_memory = True
         if not escalated_by_memory and entry.current_urgency is not UrgencyLevel.CRITICAL:
-            knows_history = memory_enabled and entry.memory_available
-            new_level = backend.assess_drift(entry.current_urgency, knows_history)
+            new_level = backend.assess_drift(entry.current_urgency, record is not None)
             if new_level is not None:
                 events.append(
                     _reference_escalate(
@@ -479,7 +488,9 @@ def _reference_pop(queue, physician_id=None):
 DESKS = ("D1", "D2", "D3", "D4")
 
 
-def _random_entry(rng, patient, history, t):
+def _random_entry(rng, patient, history, t, memory=True):
+    """An entry of random level, acuity, desk and priority; with `memory` on,
+    a patient with a record carries it."""
     level = list(UrgencyLevel)[int(rng.integers(0, 4))]
     record = history.get(patient.patient_id)
     if record is not None and rng.random() < 0.5:
@@ -489,7 +500,7 @@ def _random_entry(rng, patient, history, t):
         level = target if rng.random() < 0.3 else below
     e = _entry(t=t, urgency=level, acuity=int(rng.integers(1, 11)),
                physician=DESKS[int(rng.integers(0, len(DESKS)))],
-               memory=record is not None, patient=patient)
+               record=record if memory else None, patient=patient)
     e.priority = float(rng.random())
     return e
 
@@ -521,7 +532,7 @@ def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, 
             if patient is None:
                 continue
             t += float(rng.random())
-            e = _random_entry(rng, patient, history, t)
+            e = _random_entry(rng, patient, history, t, memory_enabled)
             fast.enqueue(e)
             ref.enqueue(copy.deepcopy(e))
         for _ in range(int(rng.integers(0, 4))):
@@ -529,8 +540,8 @@ def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, 
                 assert fast.dequeue_next().patient_id == _reference_pop(ref).patient_id
         loads = {d: float(x) for d, x in zip(DESKS, rng.uniform(-0.2, 1.2, len(DESKS)))}
         t = max(t, 5.0 * tick)
-        got = fast.reassess_tick(t, fast_backend, history, memory_enabled, loads.__getitem__)
-        want = _reference_tick(ref, t, ref_backend, history, memory_enabled, loads.__getitem__)
+        got = fast.reassess_tick(t, fast_backend, loads.__getitem__)
+        want = _reference_tick(ref, t, ref_backend, loads.__getitem__)
         assert got == want
         assert [e.patient_id for e in fast.entries()] == [e.patient_id for e in ref.entries()]
         for a, b in zip(fast.entries(), ref.entries()):
@@ -566,9 +577,9 @@ def _assert_same_pool(fast, ref):
             b.current_urgency, b.current_acuity, b.level_entry_time, b.priority.hex())
 
 
-def _sweep_twins(fast, ref, backends, t, history, loads):
-    got = fast.reassess_tick(t, backends[0], history, True, loads.__getitem__)
-    want = _reference_tick(ref, t, backends[1], history, True, loads.__getitem__)
+def _sweep_twins(fast, ref, backends, t, loads):
+    got = fast.reassess_tick(t, backends[0], loads.__getitem__)
+    want = _reference_tick(ref, t, backends[1], loads.__getitem__)
     assert got == want
     assert backends[0].rng.bit_generator.state == backends[1].rng.bit_generator.state
     _assert_same_pool(fast, ref)
@@ -600,7 +611,7 @@ def test_pool_past_64_and_128_entries_matches_reference(dataset42):
             ref.enqueue(copy.deepcopy(e))
         sizes.append(len(fast))
         t += 1.0
-        _sweep_twins(fast, ref, backends, t, history, loads)
+        _sweep_twins(fast, ref, backends, t, loads)
         for _ in range(pops):
             _pop_twins(fast, ref)
     assert sizes[0] > 64 and max(sizes) > 128
@@ -631,7 +642,7 @@ def test_sweep_made_ties_go_to_enqueue_time_then_id():
     entries.append(_ranked("P0001", 1.0, 0.0, urgency=UrgencyLevel.HIGH, acuity=7, physician="D2"))
     fast, ref = _twins(entries)
     backends = (_backend(NEVER_DRIFT), _backend(NEVER_DRIFT))
-    _sweep_twins(fast, ref, backends, 200.0, {}, {"D1": 0.5, "D2": 0.5})
+    _sweep_twins(fast, ref, backends, 200.0, {"D1": 0.5, "D2": 0.5})
     tied = [e.priority for e in fast.entries() if e.assigned_physician == "D1"]
     assert len(set(tied)) == 1 and len(tied) == 5
     order = [_pop_twins(fast, ref) for _ in range(len(entries))]
@@ -666,7 +677,7 @@ def test_reenqueue_of_a_dequeued_id(first_pop_desk):
     ref.enqueue(copy.deepcopy(again))
     if pooled:
         backends = (_backend(NEVER_DRIFT), _backend(NEVER_DRIFT))
-        _sweep_twins(fast, ref, backends, 10.0, {}, {"D1": 0.0, "D2": 0.0})
+        _sweep_twins(fast, ref, backends, 10.0, {"D1": 0.0, "D2": 0.0})
     assert pop("D1") == "P0001"
     assert len(fast) == 0
 
@@ -711,7 +722,7 @@ def _run_pool_ops(q, ops):
             assert q.dequeue_next(desk) is want
             assert want not in q.entries()
         else:
-            q.reassess_tick(t, backend, {}, memory_enabled=False, load_of=loads.__getitem__)
+            q.reassess_tick(t, backend, load_of=loads.__getitem__)
 
 
 # No shrink phase: a failing example is reported as found, since shrinking
