@@ -548,7 +548,7 @@ def run_session(
         raise ValidationError(f"expected the {N_PATIENTS}-patient cohort, got {len(patients)}")
     roster = [
         dataclasses.replace(p, status=PhysicianStatus.IDLE, queue_length=0)
-        for p in (roster or default_roster())
+        for p in (default_roster() if roster is None else roster)
     ]
     if not roster:
         raise ValidationError("empty roster")

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import sha256
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,28 +72,22 @@ class Specialty(Enum):
 
 
 class AgeBand(Enum):
-    PEDIATRIC = "pediatric"
-    YOUNG_ADULT = "young_adult"
-    ADULT = "adult"
-    MIDDLE_AGED = "middle_aged"
-    ELDERLY = "elderly"
+    """Age bands in age order, each with its inclusive `ages` range and its
+    `share` of the cohort."""
+
+    PEDIATRIC = ("pediatric", (1, 14), 0.15)
+    YOUNG_ADULT = ("young_adult", (15, 29), 0.20)
+    ADULT = ("adult", (30, 44), 0.25)
+    MIDDLE_AGED = ("middle_aged", (45, 59), 0.22)
+    ELDERLY = ("elderly", (60, 85), 0.18)
+
+    def __new__(cls, value: str, ages: tuple[int, int], share: float):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.ages, member.share = ages, share
+        return member
 
 
-AGE_RANGES = {
-    AgeBand.PEDIATRIC: (1, 14),
-    AgeBand.YOUNG_ADULT: (15, 29),
-    AgeBand.ADULT: (30, 44),
-    AgeBand.MIDDLE_AGED: (45, 59),
-    AgeBand.ELDERLY: (60, 85),
-}
-
-AGE_BAND_SHARES = (
-    (AgeBand.PEDIATRIC, 0.15),
-    (AgeBand.YOUNG_ADULT, 0.20),
-    (AgeBand.ADULT, 0.25),
-    (AgeBand.MIDDLE_AGED, 0.22),
-    (AgeBand.ELDERLY, 0.18),
-)
 GENDER_SHARES = (("F", 0.62), ("M", 0.38))
 LOCALITY_SHARES = (("urban", 0.45), ("semi_urban", 0.25), ("rural", 0.30))
 LANGUAGE_SHARES = (("hindi", 0.85), ("bundeli", 0.10), ("english", 0.05))
@@ -108,55 +103,38 @@ SPECIALTY_SHARES = (
     (Specialty.SURGERY, 0.125),
 )
 
-# Unique-patient counts per chronic condition across the 120 history records.
-# Multiple conditions per patient are allowed; each count is the number of
-# distinct patients carrying that condition.
-CONDITION_COUNTS = {
-    "diabetes": 61,
-    "hypertension": 46,
-    "copd": 12,
-    "chronic kidney disease": 12,
-    "anaemia": 11,
-    "high-risk pregnancy": 11,
-    "tuberculosis": 10,
-    "ischaemic heart disease": 5,
-    "sickle cell disease": 5,
-    "epilepsy": 4,
-    "cancer": 3,
-    "chronic liver disease": 2,
-    "sle": 1,
-}
 
-MEDICATIONS_BY_CONDITION = {
-    "diabetes": ("Metformin",),
-    "hypertension": ("Amlodipine",),
-    "copd": ("Tiotropium inhaler",),
-    "chronic kidney disease": ("Calcium acetate",),
-    "anaemia": ("Iron-folic acid",),
-    "high-risk pregnancy": ("Iron-folic acid", "Calcium supplement"),
-    "tuberculosis": ("Rifampicin", "Isoniazid"),
-    "ischaemic heart disease": ("Aspirin", "Atorvastatin"),
-    "sickle cell disease": ("Hydroxyurea",),
-    "epilepsy": ("Levetiracetam",),
-    "cancer": ("Tamoxifen",),
-    "chronic liver disease": ("Propranolol",),
-    "sle": ("Hydroxychloroquine",),
-}
+class Condition(NamedTuple):
+    """A chronic condition of the history records: the number of distinct
+    patients who carry it (a patient may carry several), the medications it
+    brings, and the escalation reason of a generated record that lists it first."""
 
-ESCALATION_REASONS = {
-    "diabetes": "Poorly controlled diabetes - DKA risk on intercurrent illness",
-    "hypertension": "Uncontrolled hypertension - hypertensive emergency risk",
-    "copd": "Severe COPD with prior ICU admission",
-    "chronic kidney disease": "CKD Stage 3 - hyperkalaemia and fluid-overload risk",
-    "anaemia": "Severe chronic anaemia - decompensation risk",
-    "high-risk pregnancy": "High-risk pregnancy - previous caesarean",
-    "tuberculosis": "TB under treatment - haemoptysis risk",
-    "ischaemic heart disease": "Known IHD - atypical complaints may be ischaemic",
-    "sickle cell disease": "Sickle cell disease - crisis can present as mild pain",
-    "epilepsy": "Prior status epilepticus - rapid escalation on seizure activity",
-    "cancer": "On chemotherapy - neutropenic sepsis risk",
-    "chronic liver disease": "Chronic liver disease - variceal bleeding risk",
-    "sle": "Immunosuppressed (SLE) - masked infection risk",
+    carriers: int
+    medications: tuple[str, ...]
+    reason: str
+
+
+# Keyed by name, in the order the condition deal reads them.
+CONDITIONS = {
+    "diabetes": Condition(
+        61, ("Metformin",), "Poorly controlled diabetes - DKA risk on intercurrent illness"),
+    "hypertension": Condition(46, ("Amlodipine",), "Uncontrolled hypertension - hypertensive emergency risk"),
+    "copd": Condition(12, ("Tiotropium inhaler",), "Severe COPD with prior ICU admission"),
+    "chronic kidney disease": Condition(
+        12, ("Calcium acetate",), "CKD Stage 3 - hyperkalaemia and fluid-overload risk"),
+    "anaemia": Condition(11, ("Iron-folic acid",), "Severe chronic anaemia - decompensation risk"),
+    "high-risk pregnancy": Condition(
+        11, ("Iron-folic acid", "Calcium supplement"), "High-risk pregnancy - previous caesarean"),
+    "tuberculosis": Condition(10, ("Rifampicin", "Isoniazid"), "TB under treatment - haemoptysis risk"),
+    "ischaemic heart disease": Condition(
+        5, ("Aspirin", "Atorvastatin"), "Known IHD - atypical complaints may be ischaemic"),
+    "sickle cell disease": Condition(
+        5, ("Hydroxyurea",), "Sickle cell disease - crisis can present as mild pain"),
+    "epilepsy": Condition(
+        4, ("Levetiracetam",), "Prior status epilepticus - rapid escalation on seizure activity"),
+    "cancer": Condition(3, ("Tamoxifen",), "On chemotherapy - neutropenic sepsis risk"),
+    "chronic liver disease": Condition(2, ("Propranolol",), "Chronic liver disease - variceal bleeding risk"),
+    "sle": Condition(1, ("Hydroxychloroquine",), "Immunosuppressed (SLE) - masked infection risk"),
 }
 
 ALLERGY_POOL = ("Penicillin", "Sulfa drugs", "NSAIDs")
@@ -165,11 +143,11 @@ ALLERGY_RATE = 0.15
 # Deterioration archetypes: deceptively mild presentations whose history
 # mandates escalation.  One record matching each is installed in every
 # generated dataset (hosted on face-LOW patients with matching demographics).
-# A condition listed in CONDITION_COUNTS counts toward its total.
+# A condition listed in CONDITIONS counts toward its carriers.
 ARCHETYPES = (
     {
         "key": "prior_tia",
-        "age": 62, "gender": "M", "band": AgeBand.ELDERLY,
+        "age": 62, "gender": "M",
         "complaint": "Mild headache, dizziness",
         "target": UrgencyLevel.CRITICAL,
         "reason": "Prior TIA 6 months ago - stroke warning",
@@ -179,7 +157,7 @@ ARCHETYPES = (
     },
     {
         "key": "warfarin",
-        "age": 55, "gender": "F", "band": AgeBand.MIDDLE_AGED,
+        "age": 55, "gender": "F",
         "complaint": "Minor bruising, bleeding",
         "target": UrgencyLevel.CRITICAL,
         "reason": "On Warfarin - minor bleeding may signal serious haemorrhage",
@@ -189,7 +167,7 @@ ARCHETYPES = (
     },
     {
         "key": "ckd_stage3",
-        "age": 48, "gender": "M", "band": AgeBand.MIDDLE_AGED,
+        "age": 48, "gender": "M",
         "complaint": "Nausea, weakness",
         "target": UrgencyLevel.HIGH,
         "reason": "CKD Stage 3 - hyperkalaemia risk",
@@ -199,7 +177,7 @@ ARCHETYPES = (
     },
     {
         "key": "high_risk_pregnancy",
-        "age": 35, "gender": "F", "band": AgeBand.ADULT,
+        "age": 35, "gender": "F",
         "complaint": "Mild abdominal pain",
         "target": UrgencyLevel.CRITICAL,
         "reason": "High-risk pregnancy - previous caesarean",
@@ -209,7 +187,7 @@ ARCHETYPES = (
     },
     {
         "key": "severe_copd",
-        "age": 70, "gender": "M", "band": AgeBand.ELDERLY,
+        "age": 70, "gender": "M",
         "complaint": "Cough, mild fever",
         "target": UrgencyLevel.HIGH,
         "reason": "Severe COPD with prior ICU admission",
@@ -219,7 +197,7 @@ ARCHETYPES = (
     },
     {
         "key": "status_epilepticus",
-        "age": 28, "gender": "M", "band": AgeBand.YOUNG_ADULT,
+        "age": 28, "gender": "M",
         "complaint": "Drowsy, confused",
         "target": UrgencyLevel.HIGH,
         "reason": "Prior status epilepticus; documented Phenytoin allergy",
@@ -229,7 +207,7 @@ ARCHETYPES = (
     },
     {
         "key": "sle_immunosuppressed",
-        "age": 58, "gender": "F", "band": AgeBand.MIDDLE_AGED,
+        "age": 58, "gender": "F",
         "complaint": "Low-grade fever",
         "target": UrgencyLevel.HIGH,
         "reason": "Immunosuppressed (SLE on mycophenolate) - masked infection risk",
@@ -472,7 +450,7 @@ def generate_dataset(seed: int = 42) -> tuple[list[Patient], dict[str, HistoryRe
     """
     rng = seeded_stream(seed, _STREAM_PATIENTS)
     urgency_col = _shuffled(rng, [(level, level.face_count) for level in _DEAL_ORDER])
-    band_col = _shuffled(rng, _apportion(N_PATIENTS, AGE_BAND_SHARES))
+    band_col = _shuffled(rng, _apportion(N_PATIENTS, [(band, band.share) for band in AgeBand]))
     gender_col = _shuffled(rng, _apportion(N_PATIENTS, GENDER_SHARES))
     locality_col = _shuffled(rng, _apportion(N_PATIENTS, LOCALITY_SHARES))
     language_col = _shuffled(rng, _apportion(N_PATIENTS, LANGUAGE_SHARES))
@@ -482,7 +460,7 @@ def generate_dataset(seed: int = 42) -> tuple[list[Patient], dict[str, HistoryRe
     patients: list[Patient] = []
     for i in range(N_PATIENTS):
         band = band_col[i]
-        lo, hi = AGE_RANGES[band]
+        lo, hi = band.ages
         age = int(rng.integers(lo, hi + 1))
         urgency = urgency_col[i]
         a_lo, a_hi = urgency.acuity_band
@@ -541,12 +519,13 @@ def _pick_archetype_host(rng, spec: dict, pool: list[Patient], taken) -> Patient
     set only when the band matches, so no marginal-bearing field moves.
     """
     same_gender = [p for p in pool if p.patient_id not in taken and p.gender == spec["gender"]]
-    same_band = [p for p in same_gender if p.age_band is spec["band"]]
+    band = next(b for b in AgeBand if b.ages[0] <= spec["age"] <= b.ages[1])
+    same_band = [p for p in same_gender if p.age_band is band]
     exact = [p for p in same_band if p.required_specialty is Specialty.GENERAL_MEDICINE]
     for cand in (exact, same_band, same_gender):
         if cand:
             host = cand[int(rng.integers(0, len(cand)))]
-            if host.age_band is spec["band"]:
+            if host.age_band is band:
                 host.age = spec["age"]
             host.complaint = spec["complaint"]
             return host
@@ -594,7 +573,7 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
     records: dict[str, HistoryRecord] = {}
     for p in chosen:
         pid, conds = p.patient_id, conditions[p.patient_id]
-        meds = list(dict.fromkeys(m for c in conds for m in MEDICATIONS_BY_CONDITION.get(c, ())))
+        meds = list(dict.fromkeys(m for c in conds if c in CONDITIONS for m in CONDITIONS[c].medications))
         spec = hosts.get(pid)
         if spec is not None:
             rule = EscalationRule(spec["target"], spec["reason"])
@@ -604,7 +583,7 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
         else:
             critical = p.face_urgency is UrgencyLevel.HIGH or pid in hidden_critical
             target = UrgencyLevel.CRITICAL if critical else UrgencyLevel.HIGH
-            rule = EscalationRule(target, ESCALATION_REASONS[conds[0]])
+            rule = EscalationRule(target, CONDITIONS[conds[0]].reason)
             allergies = []
             if rng.random() < ALLERGY_RATE:
                 allergies.append(ALLERGY_POOL[int(rng.integers(0, len(ALLERGY_POOL)))])
@@ -615,9 +594,9 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
         raise ValidationError(f"history store has {len(records)} records, wanted {N_HISTORY}")
     _validate_dataset(patients, records)
     counts = collections.Counter(c for rec in records.values() for c in set(rec.conditions))
-    for cond, want in CONDITION_COUNTS.items():
-        if counts[cond] != want:
-            raise ValidationError(f"condition {cond!r}: {counts[cond]} patients, wanted {want}")
+    for name, cond in CONDITIONS.items():
+        if counts[name] != cond.carriers:
+            raise ValidationError(f"condition {name!r}: {counts[name]} patients, wanted {cond.carriers}")
     return records
 
 
@@ -630,7 +609,7 @@ def _deal_conditions(rng, chosen: list[Patient], hosts: dict[str, dict]) -> dict
     non-carriers.  High-risk pregnancy only lands on female young-adult/adult
     patients.
     """
-    remaining = dict(CONDITION_COUNTS)
+    remaining = {name: cond.carriers for name, cond in CONDITIONS.items()}
     conditions: dict[str, list[str]] = {p.patient_id: [] for p in chosen}
     for pid, spec in hosts.items():
         conditions[pid].extend(spec["conditions"])

@@ -257,7 +257,8 @@ class AdaptiveQueue:
         patients are already at ceiling and are never checked.
         `load_of(physician_id)` supplies normalised desk load for the priority
         refresh applied to every entry at the end; it is asked once per desk
-        the pool has seen.
+        the pool has seen, before any check.  A non-finite `now` or load is
+        refused before any slot is written.
 
         Every check draws one uniform from the backend's stream, in pool
         order.  The drift checks between two chart checks are drawn as one
@@ -266,6 +267,7 @@ class AdaptiveQueue:
         """
         if not self._pooled:
             raise ValidationError("a per-desk pool is never swept")
+        require_number("now", now)
         if not self._entries:
             return []
         rows = self._rows
@@ -273,6 +275,9 @@ class AdaptiveQueue:
         rank, level_terms, enqueued = self._rank[:n], self._level_terms[:n], self._enqueued[:n]
         if now < enqueued[enqueued.argmax()]:  # the latest enqueue
             raise ValidationError(f"reassessment at t={now} precedes an enqueue")
+        loads = [load_of(d) for d in self._desk_codes]
+        if not all(map(math.isfinite, loads)):
+            raise ValidationError(f"desk loads must be finite, got {loads}")
         # The live slots that may drift, in pool order, with the level and
         # record visibility their checks read.  Only a slot's own check
         # changes its level, so these are read once, before any check.
@@ -318,7 +323,7 @@ class AdaptiveQueue:
 
         # priority_score for every slot, term by term in the same order.
         w = self.weights
-        load = np.array([w.load * (1.0 - min(max(load_of(d), 0.0), 1.0)) for d in self._desk_codes])
+        load = np.array([w.load * (1.0 - min(max(x, 0.0), 1.0)) for x in loads])
         wait_term = w.wait_cap * np.minimum((now - enqueued) / w.wait_horizon, 1.0)
         priority = level_terms + w.waiting * wait_term + load[self._desk[:n]]
         live = enqueued > -np.inf

@@ -41,6 +41,9 @@ def test_invalid_profiles_rejected():
         IntensityProfile(breakpoints=((0.0, 0.0), (360.0, 0.0)))  # lambda_max = 0
     with pytest.raises(ValidationError):
         IntensityProfile(breakpoints=((10.0, 1.0),))  # single point
+    for times in ((0.0, 0.0), (0.0, 360.0, 200.0)):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            IntensityProfile(breakpoints=tuple((t, 1.0) for t in times))
 
 
 def test_sample_arrivals_contract():

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from opdsim import cli
 from opdsim.assignment import default_roster
 from opdsim.cli import main
-from opdsim.engine import StrategyConfig
+from opdsim.engine import StrategyConfig, run_session
 from opdsim.patients import UrgencyLevel, dataset_fingerprint, dataset_from_dict, dataset_to_dict
 from opdsim.waitqueue import CAUSE_DRIFT, EscalationEvent
+
+from test_engine import TWIN_ROOMS
 
 GOLDEN_FCFS_SERVED = 252
 GOLDEN_AGENTIC_TRACE = "14058ec0e2267f1336b9d238a23d76f111858517c66bcc4cb20cac09bb88e2e4"
@@ -136,6 +138,7 @@ def test_run_invalid_config_value_exits_3(tmp_path, capsys):
         {"drift": {"check_interval": 0.0001}},
         {"drift": {"history_multiplier": 10**400}},
         {"registration_mean": 0.1, "registration_std": 0.001},
+        [{"strategy": "fcfs"}],
     ],
 )
 def test_run_mistyped_config_exits_3(tmp_path, capsys, config):
@@ -298,6 +301,68 @@ def test_run_mistyped_dataset_exits_3(tmp_path, capsys, dataset42, edit):
     assert "error:" in capsys.readouterr().err
 
 
+def _history_patient(d):
+    """The patient row of `_first_record`."""
+    return next(p for p in d["patients"] if p["patient_id"] == min(d["history"]))
+
+
+def _patient_without_history(d):
+    return next(p for p in d["patients"] if not p["has_history"])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["patients"][1].update(patient_id=d["patients"][0]["patient_id"]),
+         "duplicate patient ids"),
+        (lambda d: _first_patient(d).update(face_acuity=11), "acuity 11 outside"),
+        (lambda d: _first_record(d).update(patient_id="P9999"), "does not match a patient"),
+        (lambda d: _history_patient(d).update(face_urgency="critical", face_acuity=9),
+         "history on critical-face patient"),
+        (lambda d: _first_record(d)["escalation_rule"].update(target="low"),
+         "escalation target not above face urgency"),
+        (lambda d: _patient_without_history(d).update(has_history=True), "has_history flags disagree"),
+        (lambda d: _first_record(d).update(conditions=["diabetes", 3]),
+         "conditions must be a list of strings"),
+    ],
+    ids=["duplicate-id", "acuity-outside-band", "record-id-not-key", "record-on-critical",
+         "target-not-above-face", "has-history-disagrees", "condition-not-a-string"],
+)
+def test_run_inconsistent_dataset_exits_3(tmp_path, capsys, dataset42, edit, message):
+    data = json.loads(json.dumps(dataset_to_dict(*dataset42)))
+    edit(data)
+    path = tmp_path / "cohort.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--strategy", "fcfs", "--seed", "1", "--dataset", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_run_roster_file_equals_the_same_roster_in_process(tmp_path, capsys, dataset42):
+    path = tmp_path / "twin.json"
+    path.write_text(json.dumps([{"id": p.physician_id, "specialty": p.specialty.value} for p in TWIN_ROOMS]))
+    for strategy in ("fcfs", "rule_based", "agentic"):
+        assert main(["run", "--strategy", strategy, "--seed", "7", "--roster", str(path)]) == 0
+        want = run_session(*dataset42, StrategyConfig(strategy=strategy), 7, roster=TWIN_ROOMS)
+        assert json.loads(capsys.readouterr().out) == want.metrics.to_dict()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ({"id": "D1", "specialty": "general_medicine"}, "roster must be a non-empty JSON list"),
+        ([], "roster must be a non-empty JSON list"),
+        ([{"id": "D1"}], "bad roster row"),
+        ([{"id": "D1", "specialty": "dermatology"}], "bad roster row"),
+    ],
+    ids=["object", "empty", "no-specialty", "unknown-specialty"],
+)
+def test_run_bad_roster_file_exits_3(tmp_path, capsys, rows, message):
+    path = tmp_path / "roster.json"
+    path.write_text(json.dumps(rows))
+    assert main(["run", "--strategy", "fcfs", "--seed", "1", "--roster", str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "ids",
     [[None, "D2"], [7, "D2"], [["x"], "D2"], ["", "D2"], ["D1", "D1"]],
@@ -355,12 +420,13 @@ def test_invalid_seed_runs_or_target_exits_3_and_writes_nothing(tmp_path, capsys
         ["calibrate", "--runs", "1", "--workers", "0", "--out", "{tmp}/drift.json"],
         ["calibrate", "--runs", "1", "--workers", "-4", "--out", "{tmp}/drift.json"],
         ["calibrate", "--runs", "1", "--kappas", "inf", "--out", "{tmp}/drift.json"],
+        ["calibrate", "--runs", "1", "--kappas", "1,x", "--out", "{tmp}/drift.json"],
         ["calibrate", "--runs", "1", "--kappas", "1.2", "--p-hists", "0.5,2",
          "--out", "{tmp}/drift.json"],
     ],
     ids=["experiment-workers-0", "experiment-workers-negative", "ablation-workers-0",
          "ablation-workers-negative", "calibrate-workers-0", "calibrate-workers-negative",
-         "calibrate-kappa-inf", "calibrate-bad-cell"],
+         "calibrate-kappa-inf", "calibrate-kappa-not-a-number", "calibrate-bad-cell"],
 )
 def test_invalid_workers_or_grid_exits_3_before_any_session(tmp_path, capsys, monkeypatch, argv):
     def no_session(*args, **kwargs):

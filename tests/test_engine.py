@@ -192,6 +192,26 @@ def test_duplicate_physician_ids_rejected(dataset42):
             run_session(patients, history, StrategyConfig(strategy=strategy), 1, roster=roster)
 
 
+@pytest.mark.parametrize(
+    "n_patients, roster, match",
+    [
+        (N_PATIENTS - 1, None, f"{N_PATIENTS}-patient cohort, got {N_PATIENTS - 1}"),
+        (N_PATIENTS, [], "empty roster"),
+    ],
+    ids=["short-cohort", "empty-roster"],
+)
+def test_session_refuses_a_short_cohort_or_an_empty_roster(dataset42, n_patients, roster, match):
+    # An empty roster is refused, not read as "use the default".
+    patients, history = dataset42
+    with pytest.raises(ValidationError, match=match):
+        run_session(patients[:n_patients], history, StrategyConfig(), 1, roster=roster)
+
+
+def test_experiment_refuses_zero_runs(dataset42):
+    with pytest.raises(ValidationError, match="n_runs must be at least 1"):
+        run_experiment(*dataset42, StrategyConfig(), n_runs=0, base_seed=1000)
+
+
 def test_unserved_appear_at_face_level(dataset42):
     # A session too short to drain the queue must still account for everyone.
     patients, history = dataset42

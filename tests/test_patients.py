@@ -14,7 +14,7 @@ from opdsim import generate_dataset
 from opdsim.errors import ValidationError
 from opdsim.patients import (
     ARCHETYPES,
-    CONDITION_COUNTS,
+    CONDITIONS,
     DATASET_SCHEMA_VERSION,
     N_HISTORY,
     N_PATIENTS,
@@ -95,6 +95,19 @@ def test_acuity_consistent_with_urgency(dataset42):
         assert lo <= p.face_acuity <= hi, p.patient_id
 
 
+def test_age_bands_tile_the_ages_and_fix_the_band_counts(dataset42):
+    patients, _ = dataset42
+    bands = list(AgeBand)
+    assert [b.value for b in bands] == ["pediatric", "young_adult", "adult", "middle_aged", "elderly"]
+    assert all(lower.ages[1] + 1 == higher.ages[0] for lower, higher in zip(bands, bands[1:]))
+    assert sum(b.share for b in bands) == pytest.approx(1.0)
+    counts = collections.Counter(p.age_band for p in patients)
+    assert [counts[b] for b in bands] == [55, 74, 92, 81, 66]  # largest-remainder shares of 368
+    for p in patients:
+        lo, hi = p.age_band.ages
+        assert lo <= p.age <= hi, p.patient_id
+
+
 def test_specialty_distribution(dataset42):
     patients, _ = dataset42
     counts = collections.Counter(p.required_specialty for p in patients)
@@ -132,9 +145,9 @@ def test_condition_prevalence_counts(dataset42):
     seen: dict[str, int] = collections.defaultdict(int)
     for record in history.values():
         for c in set(record.conditions):
-            if c in CONDITION_COUNTS:
+            if c in CONDITIONS:
                 seen[c] += 1
-    assert dict(seen) == CONDITION_COUNTS
+    assert dict(seen) == {name: cond.carriers for name, cond in CONDITIONS.items()}
 
 
 def test_deterioration_archetypes_present(dataset42):

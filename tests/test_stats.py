@@ -118,6 +118,12 @@ def test_t_cdf_rejects_bad_df():
             t_sf_two_sided(1.0, df)
 
 
+@pytest.mark.parametrize("x", [-0.1, 1.5, math.nan])
+def test_betainc_refuses_x_outside_the_unit_interval(x):
+    with pytest.raises(ValidationError, match=r"x must lie in \[0, 1\]"):
+        betainc_regularized(2.0, 3.0, x)
+
+
 def test_betainc_matches_scipy_on_grid():
     for a in (0.5, 1.0, 2.5, 10.0):
         for b in (0.5, 1.0, 3.0):

@@ -266,6 +266,30 @@ def test_sweep_of_a_per_desk_pool_is_refused():
     assert q.dequeue_next("GM-1") is e
 
 
+@pytest.mark.parametrize("now, load, match", [
+    (math.nan, 0.0, "finite"),
+    (math.inf, 0.0, "finite"),
+    (-math.inf, 0.0, "finite"),
+    (5.0, math.nan, "finite"),
+    (0.5, 0.0, "precedes an enqueue"),
+])
+def test_a_refused_sweep_writes_no_slot(now, load, match):
+    # A NaN load or time would otherwise reach the slot table, where a NaN
+    # priority is taken first; ALWAYS_DRIFT shows that no check ran either.
+    q = AdaptiveQueue()
+    a = _ranked("P0001", 0.0, 0.2, physician="GM-1")
+    b = _ranked("P0002", 1.0, 0.6, physician="GM-2")
+    q.enqueue(a)
+    q.enqueue(b)
+    loads = {"GM-1": 0.0, "GM-2": load}
+    with pytest.raises(ValidationError, match=match):
+        q.reassess_tick(now, _backend(ALWAYS_DRIFT), load_of=loads.__getitem__)
+    assert [(e.current_urgency, e.priority) for e in (a, b)] == [
+        (UrgencyLevel.LOW, 0.2), (UrgencyLevel.LOW, 0.6),
+    ]
+    assert [q.dequeue_next() for _ in range(2)] == [b, a]
+
+
 # ---------------------------------------------------------------- escalation
 
 
