@@ -93,21 +93,22 @@ def sample_poisson_process(
     lam_max = profile.lambda_max
     t0, t1 = profile.start_time, profile.end_time
 
-    chunks = []
-    t = t0
+    candidates, t = None, t0  # the first block of gaps nearly always passes t1
     block = max(64, int(lam_max * (t1 - t0) * 1.25) + 32)
     while t < t1:
-        ts = np.cumsum(rng.exponential(1.0 / lam_max, size=block))
+        ts = rng.exponential(1.0 / lam_max, size=block)
+        np.cumsum(ts, out=ts)
         ts += t
-        chunks.append(ts)
+        candidates = ts if candidates is None else np.concatenate((candidates, ts))
         t = float(ts[-1])
         block = 64
-    candidates = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     # Gaps are non-negative, so the candidates are sorted.
     candidates = candidates[: np.searchsorted(candidates, t1)]
 
     u = rng.random(candidates.size)
-    keep = u < profile.rate(candidates) / lam_max
+    rate = profile.rate(candidates)
+    rate /= lam_max
+    keep = u < rate
     if count is not None and np.count_nonzero(keep) != count:
         return None
     return candidates[keep]

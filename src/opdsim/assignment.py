@@ -101,14 +101,17 @@ def assign_rule_based(patient: Patient, roster: list[Physician]) -> Physician:
 def assign_scored(patient: Patient, roster: list[Physician]) -> Physician:
     """The highest `score_assignment(...).total`, ties broken by id order.
 
-    One pass: the longest queue is read once, and each total is summed in
-    `AssignmentScore`'s order, so the scores are the same floats.
+    One pass: the longest queue is read once, the match is `_specialty_match`'s
+    and each total is summed in `AssignmentScore`'s order: the same floats.
     """
     max_queue = max(1, max([p.queue_length for p in roster]))
+    need, general = patient.required_specialty, Specialty.GENERAL_MEDICINE
     best, best_total = None, -math.inf
     for p in roster:
+        s = p.specialty
+        match = MATCH_EXACT if s is need else MATCH_GENERALIST if s is general else MATCH_NONE
         total = (
-            W_SPECIALTY * _specialty_match(patient, p)
+            W_SPECIALTY * match
             + W_LOAD * (1.0 - p.queue_length / max_queue)
             + W_AVAILABILITY * (1.0 if p.status is PhysicianStatus.IDLE else 0.0)
         )

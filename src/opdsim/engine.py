@@ -316,18 +316,13 @@ class _Session:
             self.record(t, "reg_done", patient.patient_id)
         urgency, acuity = self.backend.triage_face_value(patient)
         visible = patient.has_history and self.config.memory_enabled  # where the switch acts
-        entry = QueueEntry(
-            patient=patient,
-            enqueue_time=t,
-            face_urgency=urgency,
-            current_urgency=urgency,
-            current_acuity=acuity,
-            record=self.history.get(patient.patient_id) if visible else None,
-        )
         physician = assign(patient, self.roster, self.strategy, self.rr_cursor)
         self.rr_cursor += 1  # only round-robin reads it
-        entry.assigned_physician = physician.physician_id
         physician.queue_length += 1
+        entry = QueueEntry(  # positional, in field order: the record is the visible one
+            patient, t, urgency, urgency, acuity, physician.physician_id,
+            self.history.get(patient.patient_id) if visible else None,
+        )
         # The pool serves the highest priority first, so the priority is the
         # strategy's rank: the composite score, the presenting class, or (for
         # fcfs) nothing, which leaves enqueue order.  Only agentic reads loads.
@@ -362,16 +357,17 @@ class _Session:
         # to (token counters / specialty rooms).  The agentic orchestrator
         # instead hands whichever room frees up the highest-priority patient
         # in the shared pool; its assignment feeds the load-score terms only.
-        pooled = self.pooled
+        pooled, queue = self.pooled, self.queue
         for physician in self.roster:
-            waiting = len(self.queue) if pooled else physician.queue_length
-            if physician.status is not PhysicianStatus.IDLE or not waiting:
+            if physician.status is not PhysicianStatus.IDLE:
                 continue
-            entry = self.queue.dequeue_next(None if pooled else physician.physician_id)
+            if not (len(queue) if pooled else physician.queue_length):
+                continue
+            entry = queue.dequeue_next(None if pooled else physician.physician_id)
             desk = self.by_id[entry.assigned_physician]
             desk.queue_length -= 1
             if pooled and desk.queue_length + 1 == self.longest:  # a longest desk shrank
-                self.longest = max(1, max(p.queue_length for p in self.roster))
+                self.longest = max(1, max([p.queue_length for p in self.roster]))
             self._start_consult(t, physician, entry)
 
     def _start_consult(self, t: float, physician: Physician, entry: QueueEntry):

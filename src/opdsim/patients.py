@@ -708,6 +708,8 @@ def _validate_dataset(patients: list[Patient], history: dict[str, HistoryRecord]
         lo, hi = p.face_urgency.acuity_band
         if not (lo <= p.face_acuity <= hi):
             raise ValidationError(f"{p.patient_id}: acuity {p.face_acuity} outside {p.face_urgency.value} band")
+        if not (p.age_band.ages[0] <= p.age <= p.age_band.ages[1]):
+            raise ValidationError(f"{p.patient_id}: age {p.age} outside the {p.age_band.value} band")
     for pid, rec in history.items():
         if pid != rec.patient_id or pid not in by_id:
             raise ValidationError(f"history key {pid!r} does not match a patient")

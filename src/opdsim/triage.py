@@ -77,11 +77,14 @@ class DriftParams:
 
 
 class CalibratedTriageBackend:
-    """One instance per session run: it consumes the RNG stream it is given."""
+    """One instance per session run: it consumes the RNG stream it is given.
+    A face-value grade owes its uniform, and the next real draw reads the owed
+    ones first, so each check reads the uniform and leaves the state it would."""
 
     def __init__(self, rng: np.random.Generator, params: DriftParams):
         self.rng = rng
         self.params = params
+        self._owed = 0  # face-value uniforms not yet drawn
         # drift_probability by [rank, history visible], for the levels that drift.
         self._drift_table = np.array(
             [
@@ -96,8 +99,13 @@ class CalibratedTriageBackend:
         # One unused uniform per registrant, kept on purpose: dropping it would
         # shift every later draw on this stream and change every session's
         # output.
-        self.rng.random()
+        self._owed += 1
         return patient.face_urgency, patient.face_acuity
+
+    def _uniforms(self, k: int) -> np.ndarray:
+        """The next `k` uniforms after the owed ones (`random(n)` is n scalar draws)."""
+        owed, self._owed = self._owed, 0
+        return self.rng.random(owed + k)[owed:]
 
     def assess_history_escalation(
         self, patient: Patient, record: HistoryRecord
@@ -108,7 +116,7 @@ class CalibratedTriageBackend:
             raise ValidationError(
                 f"history assessment called for {patient.patient_id} without a record"
             )
-        if float(self.rng.random()) >= self.params.p_history_escalation:
+        if self._uniforms(1)[0] >= self.params.p_history_escalation:
             return None
         return record.escalation_rule
 
@@ -122,7 +130,7 @@ class CalibratedTriageBackend:
         if current is UrgencyLevel.CRITICAL:
             raise ValidationError("critical patients do not drift further")
         p = self.params.drift_probability(current, has_history)
-        if float(self.rng.random()) < p:
+        if self._uniforms(1)[0] < p:
             return current.next_higher()
         return None
 
@@ -136,4 +144,4 @@ class CalibratedTriageBackend:
         if len(ranks) and ranks[ranks.argmax()] >= UrgencyLevel.CRITICAL.rank:  # the highest rank
             raise ValidationError("critical patients do not drift further")
         p = self._drift_table[ranks, has_history.view(np.int8)]  # bools as 0/1, no copy
-        return self.rng.random(len(ranks)) < p
+        return self._uniforms(len(ranks)) < p

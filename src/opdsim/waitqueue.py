@@ -89,7 +89,8 @@ class QueueEntry:
     assigned_physician: str | None = None
     # The history record the assessor can see: None without one, or with memory off.
     record: HistoryRecord | None = None
-    # Dequeue rank, highest first.
+    # Dequeue rank, highest first.  A pooled pool reads it at enqueue; its
+    # sweeps refresh the slot table only (see `AdaptiveQueue.priorities`).
     priority: float = 0.0
     # When the patient entered their current urgency level; equals
     # enqueue_time until an escalation bumps them.
@@ -136,14 +137,7 @@ def _escalate(
         raise ValidationError(
             f"escalation must raise urgency ({entry.current_urgency} -> {target})"
         )
-    event = EscalationEvent(
-        time=now,
-        patient_id=entry.patient_id,
-        from_level=entry.current_urgency,
-        to_level=target,
-        cause=cause,
-        reason=reason,
-    )
+    event = EscalationEvent(now, entry.patient_id, entry.current_urgency, target, cause, reason)
     entry.current_urgency = target
     entry.current_acuity = target.escalation_acuity
     entry.level_entry_time = now
@@ -160,12 +154,12 @@ class AdaptiveQueue:
     A pooled pool keeps a slot table: one slot per enqueue, in enqueue order,
     and one array per column (see `_COLUMNS`).  A dequeued slot is marked
     dead and never moved: its rank reads critical, so no sweep checks it, and
-    its enqueue time and priority read -inf, so no dequeue takes it; `enqueue`
-    takes only finite ones, so a slot is live exactly when its enqueue time
-    is.  Live slots are thus in the order of `_entries`.  An entry's level,
-    acuity, record and `priority` are read when its slot is written; after
-    that only sweeps change them.  A per-desk pool keeps each desk's entries
-    (`by_desk`).
+    its level terms, enqueue time and priority read -inf, so no dequeue or
+    refresh revives it; `enqueue` takes only finite ones, so a slot is live
+    exactly when its enqueue time is, and live slots are in `_entries` order.
+    An entry's level, acuity, record and `priority` are read when its slot
+    is written; then only sweeps change them, a priority in the slot table
+    alone.  A per-desk pool keeps each desk's entries (`by_desk`).
     """
 
     def __init__(self, weights: PriorityWeights | None = None, pooled: bool = True):
@@ -184,27 +178,36 @@ class AdaptiveQueue:
     def entries(self) -> list[QueueEntry]:
         return list(self._entries.values())
 
-    def enqueue(self, entry: QueueEntry) -> None:
-        if entry.patient_id in self._entries:
-            raise ValidationError(f"{entry.patient_id} is already queued")
-        if not math.isfinite(entry.enqueue_time) or not math.isfinite(entry.priority):
-            raise ValidationError(f"{entry.patient_id} needs a finite enqueue time and priority")
-        self._entries[entry.patient_id] = entry
+    def priorities(self) -> list[float]:
+        """The live priorities in pool order, as the next dequeue reads them."""
         if not self._pooled:
-            self._by_desk.setdefault(entry.assigned_physician, {})[entry.patient_id] = entry
+            return [e.priority for e in self._entries.values()]
+        n = len(self._rows)
+        return self._priority[:n][self._enqueued[:n] > -np.inf].tolist()
+
+    def enqueue(self, entry: QueueEntry) -> None:
+        pid, desk, t = entry.patient.patient_id, entry.assigned_physician, entry.enqueue_time
+        if pid in self._entries:
+            raise ValidationError(f"{pid} is already queued")
+        if not math.isfinite(t) or not math.isfinite(entry.priority):
+            raise ValidationError(f"{pid} needs a finite enqueue time and priority")
+        self._entries[pid] = entry
+        if not self._pooled:
+            self._by_desk.setdefault(desk, {})[pid] = entry
             return
-        i = len(self._rows)
+        rows, codes = self._rows, self._desk_codes
+        i = len(rows)
         if i == len(self._rank):
             for name in _COLUMNS:
                 col = getattr(self, name)
                 setattr(self, name, np.concatenate((col, np.empty(max(i, 64), col.dtype))))
         self._rank[i] = entry.current_urgency.rank
         self._level_terms[i] = self._level_terms_of(entry)
-        self._enqueued[i] = entry.enqueue_time
-        self._desk[i] = self._desk_codes.setdefault(entry.assigned_physician, len(self._desk_codes))
+        self._enqueued[i] = t
+        self._desk[i] = codes.setdefault(desk, len(codes))
         self._priority[i] = entry.priority
         self._memory[i] = self._chart[i] = entry.record is not None
-        self._rows.append(entry)
+        rows.append(entry)
 
     def _level_terms_of(self, entry: QueueEntry) -> float:
         """`priority_score`'s first two terms; the sweep adds the rest in order."""
@@ -243,7 +246,7 @@ class AdaptiveQueue:
         entry = rows[i]
         rows[i] = None
         self._rank[i] = _CRITICAL
-        self._enqueued[i] = self._priority[i] = -np.inf
+        self._level_terms[i] = self._enqueued[i] = self._priority[i] = -np.inf
         return self._entries.pop(entry.patient_id)
 
     def reassess_tick(self, now: float, backend: CalibratedTriageBackend, load_of) -> list[EscalationEvent]:
@@ -321,13 +324,16 @@ class AdaptiveQueue:
                 start = pos + 1
         drift(start, len(drift_rows))
 
-        # priority_score for every slot, term by term in the same order.
+        # priority_score for every slot, in place and rounded term by term as
+        # there; a dead slot's -inf level terms keep its priority at -inf.
         w = self.weights
         load = np.array([w.load * (1.0 - min(max(x, 0.0), 1.0)) for x in loads])
-        wait_term = w.wait_cap * np.minimum((now - enqueued) / w.wait_horizon, 1.0)
-        priority = level_terms + w.waiting * wait_term + load[self._desk[:n]]
-        live = enqueued > -np.inf
-        np.copyto(self._priority[:n], priority, where=live)  # dead slots keep -inf
-        for entry, p in zip(self._entries.values(), priority[live].tolist()):
-            entry.priority = p
+        priority = self._priority[:n]
+        np.subtract(now, enqueued, out=priority)
+        priority /= w.wait_horizon
+        np.minimum(priority, 1.0, out=priority)
+        priority *= w.wait_cap
+        priority *= w.waiting
+        priority += level_terms
+        priority += load[self._desk[:n]]
         return events

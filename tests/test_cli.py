@@ -316,6 +316,7 @@ def _patient_without_history(d):
         (lambda d: d["patients"][1].update(patient_id=d["patients"][0]["patient_id"]),
          "duplicate patient ids"),
         (lambda d: _first_patient(d).update(face_acuity=11), "acuity 11 outside"),
+        (lambda d: _first_patient(d).update(age=3, age_band="elderly"), "age 3 outside the elderly band"),
         (lambda d: _first_record(d).update(patient_id="P9999"), "does not match a patient"),
         (lambda d: _history_patient(d).update(face_urgency="critical", face_acuity=9),
          "history on critical-face patient"),
@@ -325,8 +326,9 @@ def _patient_without_history(d):
         (lambda d: _first_record(d).update(conditions=["diabetes", 3]),
          "conditions must be a list of strings"),
     ],
-    ids=["duplicate-id", "acuity-outside-band", "record-id-not-key", "record-on-critical",
-         "target-not-above-face", "has-history-disagrees", "condition-not-a-string"],
+    ids=["duplicate-id", "acuity-outside-band", "elderly-three-year-old", "record-id-not-key",
+         "record-on-critical", "target-not-above-face", "has-history-disagrees",
+         "condition-not-a-string"],
 )
 def test_run_inconsistent_dataset_exits_3(tmp_path, capsys, dataset42, edit, message):
     data = json.loads(json.dumps(dataset_to_dict(*dataset42)))

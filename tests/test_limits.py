@@ -6,7 +6,10 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opdsim import arrivals, engine
 from opdsim.assignment import Physician, default_roster
 from opdsim.engine import StrategyConfig, run_session
 from opdsim.patients import Specialty, UrgencyLevel
@@ -148,3 +151,103 @@ def test_metrics_do_not_depend_on_labels(dataset42, strategy, seed):
     assert list(rooms_b) == [p.physician_id for p in renamed]
     assert list(rooms_a.values()) == list(rooms_b.values())
     assert a == b
+
+
+def _times_only(shape, c):
+    return tuple((t * c, rate) for t, rate in shape)
+
+
+def _each(values, c):
+    return tuple(x * c for x in values)
+
+
+def _one(x, c):
+    return x * c
+
+
+# Every minute-valued constant outside the config, with how to scale it: the
+# arrival shape's breakpoint times (its rates are rescaled to the cohort
+# size), the registration and consult floors, the critical-wait thresholds,
+# and each level's consult (mean, std).  The config's minute fields are
+# scaled in `_scaled_config`.
+MINUTE_CONSTANTS = [
+    (arrivals, "DEFAULT_SHAPE", _times_only),
+    (engine, "REG_MIN", _one),
+    (engine, "CONSULT_MIN", _one),
+    (engine, "WITHIN_CRITICAL_FAST", _one),
+    (engine, "WITHIN_CRITICAL_OK", _one),
+    *((level, "consult", _each) for level in UrgencyLevel),
+]
+
+
+def _scaled_config(cfg: StrategyConfig, c: float) -> StrategyConfig:
+    return dataclasses.replace(
+        cfg,
+        registration_mean=cfg.registration_mean * c,
+        registration_std=cfg.registration_std * c,
+        session_minutes=cfg.session_minutes * c,
+        drift=dataclasses.replace(cfg.drift, check_interval=cfg.drift.check_interval * c),
+        weights=dataclasses.replace(cfg.weights, wait_horizon=cfg.weights.wait_horizon * c),
+    )
+
+
+def _scaled_run(patients, history, cfg, seed, c):
+    """The session with every minute-valued constant multiplied by `c`."""
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name, scale in MINUTE_CONSTANTS:
+            mp.setattr(owner, name, scale(getattr(owner, name), c))
+        arrivals.default_profile.cache_clear()
+        try:
+            return run_session(patients, history, _scaled_config(cfg, c), seed)
+        finally:
+            arrivals.default_profile.cache_clear()
+
+
+def _expected_metrics(m: dict, c: float) -> dict:
+    def times(x):
+        return None if x is None else x * c
+
+    want = dict(m, throughput_per_hour=m["throughput_per_hour"] / c)
+    for key in ("session_minutes", "avg_wait", "median_wait", "p95_wait", "critical_wait_mean"):
+        want[key] = times(m[key])
+    for key in ("wait_by_face", "wait_by_effective"):
+        want[key] = {level: times(w) for level, w in m[key].items()}
+    return want
+
+
+# Multiplying by a power of two is exact in binary floating point, and every
+# formula on a session's path commutes with it (the exponential scale, the
+# interpolated rate, mean + std * z, the ratios in the priority), so scaling
+# every minute by c = 2^k scales every event time by exactly c.
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([-2, -1, 1, 2, 3]),  # c = 1 would compare a session with itself
+    strategy=st.sampled_from(["fcfs", "rule_based", "agentic", "agentic"]),
+    seed=st.integers(1000, 1009),
+    desks=st.sampled_from([2, 4, 6]),
+    p_history=st.sampled_from([1.0, 0.5]),
+    memory=st.booleans(),
+)
+def test_scaling_every_minute_by_a_power_of_two_scales_every_time(
+    dataset42, k, strategy, seed, desks, p_history, memory
+):
+    patients, history = dataset42
+    c = 2.0**k
+    cfg = StrategyConfig(strategy=strategy, registration_desks=desks, memory_enabled=memory,
+                         drift=DriftParams(p_history_escalation=p_history))
+    base = run_session(patients, history, cfg, seed)
+    scaled = _scaled_run(patients, history, cfg, seed, c)
+    assert scaled.metrics.to_dict() == _expected_metrics(base.metrics.to_dict(), c)
+    assert scaled.served == [
+        dataclasses.replace(
+            v, registered_at=v.registered_at * c, level_entered_at=v.level_entered_at * c,
+            consult_start=v.consult_start * c, consult_end=v.consult_end * c,
+        )
+        for v in base.served
+    ]
+    assert scaled.escalations == [dataclasses.replace(e, time=e.time * c) for e in base.escalations]
+    assert scaled.overall_waits == [w * c for w in base.overall_waits]
+    assert scaled.critical_waits == [w * c for w in base.critical_waits]
+    # The scaled constants are restored.
+    assert UrgencyLevel.LOW.consult == (5.0, 1.5) and engine.REG_MIN == 0.5
+    assert arrivals.default_profile().end_time == 360.0

@@ -1,10 +1,12 @@
 """Severity model: face triage, history escalation, drift draws."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from opdsim import engine
 from opdsim.engine import StrategyConfig
 from opdsim.errors import ValidationError
 from opdsim.patients import UrgencyLevel
@@ -200,3 +202,70 @@ def test_drift_params_validation():
 def test_drift_params_round_trip():
     params = DriftParams(history_multiplier=1.7, p_history_escalation=0.2)
     assert StrategyConfig.from_dict(StrategyConfig(drift=params).to_dict()).drift == params
+
+
+# -- owed face-value uniforms ------------------------------------------------
+
+
+class _EagerBackend(CalibratedTriageBackend):
+    """Draws each face-value uniform at once, as the stream's layout says."""
+
+    def triage_face_value(self, patient):
+        self.rng.random()
+        return patient.face_urgency, patient.face_acuity
+
+
+@pytest.mark.parametrize("seed", [0, 5, 1000])
+def test_owed_face_value_draws_read_the_stream_as_eager_ones(dataset42, seed):
+    # Interleaved face-value, chart and drift calls: the owed-draw backend
+    # gives the eager twin's answers, and after every real draw both
+    # generators are in the same state.
+    patients, history = dataset42
+    charted = [p for p in patients if p.patient_id in history]
+    params = dict(p_low=0.3, p_medium=0.5, p_high=0.2, p_history_escalation=0.5)
+    owed = _backend(seed, **params)
+    eager = _EagerBackend(np.random.default_rng(seed), DriftParams(**params))
+    rng = np.random.default_rng(seed)
+    kinds, real_draws = collections.Counter(), 0
+    for step in range(400):
+        kind = ("face", "face", "chart", "drift", "batch")[int(rng.integers(0, 5))]
+        kinds[kind] += 1
+        if kind == "face":
+            p = patients[step % len(patients)]
+            assert owed.triage_face_value(p) == eager.triage_face_value(p)
+            continue
+        if kind == "chart":
+            p = charted[step % len(charted)]
+            args = (p, history[p.patient_id])
+            assert owed.assess_history_escalation(*args) == eager.assess_history_escalation(*args)
+        elif kind == "drift":
+            level = list(UrgencyLevel)[int(rng.integers(0, 3))]
+            assert owed.assess_drift(level, step % 2 == 0) == eager.assess_drift(level, step % 2 == 0)
+        else:
+            n = int(rng.integers(0, 6))
+            ranks = rng.integers(0, 3, n).astype(np.intp)
+            visible = rng.random(n) < 0.5
+            assert (owed.assess_drift_batch(ranks, visible).tolist()
+                    == eager.assess_drift_batch(ranks, visible).tolist())
+        real_draws += 1
+        assert owed.rng.bit_generator.state == eager.rng.bit_generator.state
+    assert real_draws > 100 and min(kinds.values()) > 40
+
+
+def test_a_token_session_leaves_its_backend_stream_untouched(dataset42, monkeypatch):
+    # The token arms grade every registrant at face value and run no checks,
+    # so their backend owes every uniform and draws none.
+    backends = []
+
+    class Recording(CalibratedTriageBackend):
+        def __init__(self, *args):
+            super().__init__(*args)
+            backends.append(self)
+
+    monkeypatch.setattr(engine, "CalibratedTriageBackend", Recording)
+    for strategy in ("fcfs", "rule_based"):
+        backends.clear()
+        res = engine.run_session(*dataset42, StrategyConfig(strategy=strategy), 1000)
+        assert len(backends) == 1 and res.served
+        fresh = engine._stream(1000, engine._STREAM_BACKEND)
+        assert backends[0].rng.bit_generator.state == fresh.bit_generator.state

@@ -287,6 +287,7 @@ def test_a_refused_sweep_writes_no_slot(now, load, match):
     assert [(e.current_urgency, e.priority) for e in (a, b)] == [
         (UrgencyLevel.LOW, 0.2), (UrgencyLevel.LOW, 0.6),
     ]
+    assert q.priorities() == [0.2, 0.6]
     assert [q.dequeue_next() for _ in range(2)] == [b, a]
 
 
@@ -435,8 +436,9 @@ def test_reassess_refreshes_all_priorities():
     backend = _backend(NEVER_DRIFT)
     events = q.reassess_tick(30.0, backend, load_of=loads.__getitem__)
     assert events == []
-    for entry in (a, b):
-        assert entry.priority == priority_score(entry, 30.0, loads[entry.assigned_physician])
+    assert q.priorities() == [
+        priority_score(entry, 30.0, loads[entry.assigned_physician]) for entry in (a, b)
+    ]
 
 
 def test_reassess_memory_skipped_once_target_reached(dataset42):
@@ -568,10 +570,10 @@ def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, 
         want = _reference_tick(ref, t, ref_backend, loads.__getitem__)
         assert got == want
         assert [e.patient_id for e in fast.entries()] == [e.patient_id for e in ref.entries()]
-        for a, b in zip(fast.entries(), ref.entries()):
+        for a, p, b in zip(fast.entries(), fast.priorities(), ref.entries()):
             assert (a.current_urgency, a.current_acuity, a.level_entry_time) == (
                 b.current_urgency, b.current_acuity, b.level_entry_time)
-            assert a.priority.hex() == b.priority.hex()
+            assert p.hex() == b.priority.hex()
         assert fast_backend.rng.bit_generator.state == ref_backend.rng.bit_generator.state
         n_events += len(got)
         n_memory += sum(ev.cause == CAUSE_MEMORY for ev in got)
@@ -595,9 +597,11 @@ def _twins(entries, pooled=True):
 
 
 def _assert_same_pool(fast, ref):
+    """Same entries in the same order; a pooled pool's priorities are read
+    from its slot table, the only place its sweeps refresh them."""
     assert [e.patient_id for e in fast.entries()] == [e.patient_id for e in ref.entries()]
-    for a, b in zip(fast.entries(), ref.entries()):
-        assert (a.current_urgency, a.current_acuity, a.level_entry_time, a.priority.hex()) == (
+    for a, p, b in zip(fast.entries(), fast.priorities(), ref.entries()):
+        assert (a.current_urgency, a.current_acuity, a.level_entry_time, p.hex()) == (
             b.current_urgency, b.current_acuity, b.level_entry_time, b.priority.hex())
 
 
@@ -667,7 +671,7 @@ def test_sweep_made_ties_go_to_enqueue_time_then_id():
     fast, ref = _twins(entries)
     backends = (_backend(NEVER_DRIFT), _backend(NEVER_DRIFT))
     _sweep_twins(fast, ref, backends, 200.0, {"D1": 0.5, "D2": 0.5})
-    tied = [e.priority for e in fast.entries() if e.assigned_physician == "D1"]
+    tied = [p for e, p in zip(fast.entries(), fast.priorities()) if e.assigned_physician == "D1"]
     assert len(set(tied)) == 1 and len(tied) == 5
     order = [_pop_twins(fast, ref) for _ in range(len(entries))]
     assert order == ["P0001", "P0003", "P0005", "P0002", "P0004", "P0006"]
@@ -742,7 +746,8 @@ def _run_pool_ops(q, ops):
                 with pytest.raises(ValidationError):
                     q.dequeue_next(desk)
                 continue
-            want = min(pool, key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
+            live = {e.patient_id: p for e, p in zip(q.entries(), q.priorities())}
+            want = min(pool, key=lambda e: (-live[e.patient_id], e.enqueue_time, e.patient_id))
             assert q.dequeue_next(desk) is want
             assert want not in q.entries()
         else:
