@@ -32,7 +32,7 @@ class PhysicianStatus(enum.Enum):
     BUSY = "busy"
 
 
-@dataclass
+@dataclass(slots=True)
 class Physician:
     physician_id: str
     specialty: Specialty
@@ -98,13 +98,13 @@ def assign_rule_based(patient: Patient, roster: list[Physician]) -> Physician:
     return min(pool, key=lambda p: (p.queue_length, p.physician_id))
 
 
-def assign_scored(patient: Patient, roster: list[Physician]) -> Physician:
+def assign_scored(patient: Patient, roster: list[Physician], max_queue: int) -> Physician:
     """The highest `score_assignment(...).total`, ties broken by id order.
 
-    One pass: the longest queue is read once, the match is `_specialty_match`'s
-    and each total is summed in `AssignmentScore`'s order: the same floats.
+    One pass: `max_queue` is `max(1, longest queue in roster)`, the caller's
+    to keep; the match is `_specialty_match`'s and each total is summed in
+    `AssignmentScore`'s order: the same floats.
     """
-    max_queue = max(1, max([p.queue_length for p in roster]))
     need, general = patient.required_specialty, Specialty.GENERAL_MEDICINE
     best, best_total = None, -math.inf
     for p in roster:
@@ -125,8 +125,11 @@ def assign(
     roster: list[Physician],
     strategy: str,
     rr_cursor: int = 0,
+    max_queue: int = 1,
 ) -> Physician:
-    """Dispatch to the policy named by `strategy` (engine Strategy values)."""
+    """Dispatch to the policy named by `strategy` (engine Strategy values).
+    Round-robin reads only `rr_cursor`, scored only `max_queue`, which must be
+    `max(1, longest queue in roster)`: 1 while every queue is empty."""
     if not roster:
         raise ValidationError("empty roster")
     if strategy == "fcfs":
@@ -134,5 +137,5 @@ def assign(
     if strategy == "rule_based":
         return assign_rule_based(patient, roster)
     if strategy == "agentic":
-        return assign_scored(patient, roster)
+        return assign_scored(patient, roster, max_queue)
     raise ValidationError(f"unknown strategy {strategy!r}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
-import functools
 import heapq
 import itertools
 import math
@@ -142,7 +141,7 @@ class StrategyConfig:
             raise ValidationError(f"bad config: {exc}") from exc
 
 
-@dataclass
+@dataclass(slots=True)
 class ServedVisit:
     patient_id: str
     face_urgency: UrgencyLevel
@@ -229,6 +228,19 @@ def _positive_normal(z, mean: float, std: float, floor: float) -> float:
             return x
 
 
+def _floored_normals(rng: np.random.Generator, mean: float, std: float, floor: float):
+    """`_positive_normal`'s draws in order, 256 normals at a time: `mean + std * z`
+    elementwise is the scalar expression, and dropping the values below the
+    floor skips exactly the draws it would redraw.  An overflow reads inf."""
+    if std == 0:
+        yield from itertools.repeat(max(mean, floor))
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = mean + std * rng.standard_normal(256)
+            kept = x[x >= floor].tolist()
+        yield from kept
+
+
 def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfig):
     """The registration desks, run ahead of the event loop.  Nothing downstream
     feeds back into them, so they are the multi-server FIFO recursion of Kiefer
@@ -240,9 +252,7 @@ def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfi
     end at or after it, too late to join the consult queue, each as (done time,
     patient) in (time, start order); and the number of patients who never
     reached a desk."""
-    draw = functools.partial(
-        _positive_normal, _normals(rng), config.registration_mean, config.registration_std, REG_MIN
-    )
+    draw = _floored_normals(rng, config.registration_mean, config.registration_std, REG_MIN).__next__
     # heap of the times desks free up; a desk beyond the arrival count is never taken
     free_at = [-math.inf] * min(config.registration_desks, len(arrivals))
     started, unregistered = [], 0
@@ -275,7 +285,7 @@ class _Session:
         self.pooled = config.strategy is Strategy.AGENTIC
         self.queue = AdaptiveQueue(config.weights, self.pooled)
         self.rr_cursor = 0
-        self.longest = 1  # max(1, longest desk queue), for load_of in the pooled arm
+        self.longest = 1  # max(1, longest desk queue), for loads and assignment in the pooled arm
         self.idle = len(roster)  # rooms without a consult
 
         self.heap: list = []  # consult ends and reassessment ticks
@@ -316,7 +326,7 @@ class _Session:
             self.record(t, "reg_done", patient.patient_id)
         urgency, acuity = self.backend.triage_face_value(patient)
         visible = patient.has_history and self.config.memory_enabled  # where the switch acts
-        physician = assign(patient, self.roster, self.strategy, self.rr_cursor)
+        physician = assign(patient, self.roster, self.strategy, self.rr_cursor, self.longest)
         self.rr_cursor += 1  # only round-robin reads it
         physician.queue_length += 1
         entry = QueueEntry(  # positional, in field order: the record is the visible one
@@ -326,10 +336,10 @@ class _Session:
         # The pool serves the highest priority first, so the priority is the
         # strategy's rank: the composite score, the presenting class, or (for
         # fcfs) nothing, which leaves enqueue order.  Only agentic reads loads.
-        if self.pooled:
+        if self.pooled:  # the load is load_of's, read in place
             self.longest = max(self.longest, physician.queue_length)
             entry.priority = priority_score(
-                entry, t, self.load_of(physician.physician_id), self.config.weights
+                entry, t, physician.queue_length / self.longest, self.config.weights
             )
         elif self.config.strategy is Strategy.RULE_BASED:
             entry.priority = float(urgency.rank)

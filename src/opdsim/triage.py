@@ -37,6 +37,15 @@ REASSESS_INTERVAL = 5.0
 MIN_CHECK_INTERVAL = 0.1
 
 
+def drift_index(rank: int, has_history: bool) -> int:
+    """A level's row in the backend's drift table: `2·rank + has_history`."""
+    return 2 * rank + has_history
+
+
+# The lowest index of a critical patient, who never drifts.
+DRIFT_INDEX_CRITICAL = drift_index(UrgencyLevel.CRITICAL.rank, False)
+
+
 @dataclass(frozen=True)
 class DriftParams:
     """Knobs for deterioration and memory-driven escalation."""
@@ -85,12 +94,13 @@ class CalibratedTriageBackend:
         self.rng = rng
         self.params = params
         self._owed = 0  # face-value uniforms not yet drawn
-        # drift_probability by [rank, history visible], for the levels that drift.
+        # drift_probability at index `drift_index(rank, visible)`, for the levels that drift.
         self._drift_table = np.array(
             [
-                [params.drift_probability(level, has_history) for has_history in (False, True)]
+                params.drift_probability(level, has_history)
                 for level in UrgencyLevel
                 if level is not UrgencyLevel.CRITICAL
+                for has_history in (False, True)
             ]
         )
 
@@ -134,14 +144,14 @@ class CalibratedTriageBackend:
             return current.next_higher()
         return None
 
-    def assess_drift_batch(self, ranks: np.ndarray, has_history: np.ndarray) -> np.ndarray:
+    def assess_drift_batch(self, index: np.ndarray) -> np.ndarray:
         """`assess_drift` for a block of patients: True where one deteriorates.
 
-        `ranks` are `UrgencyLevel.rank`s below critical; `has_history` is as
-        for `assess_drift`.  One uniform is drawn per patient, in order, which
-        reads the stream exactly as that many scalar calls would.
+        `index` holds each patient's `drift_index` of a level below critical
+        and `has_history` as for `assess_drift`.  One uniform is drawn per
+        patient, in order, which reads the stream exactly as that many scalar
+        calls would.
         """
-        if len(ranks) and ranks[ranks.argmax()] >= UrgencyLevel.CRITICAL.rank:  # the highest rank
+        if len(index) and index[index.argmax()] >= DRIFT_INDEX_CRITICAL:  # the highest index
             raise ValidationError("critical patients do not drift further")
-        p = self._drift_table[ranks, has_history.view(np.int8)]  # bools as 0/1, no copy
-        return self._uniforms(len(ranks)) < p
+        return self._uniforms(len(index)) < self._drift_table[index]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError, require_number
 from .patients import HistoryRecord, Patient, UrgencyLevel
-from .triage import CalibratedTriageBackend
+from .triage import DRIFT_INDEX_CRITICAL, CalibratedTriageBackend, drift_index
 
 W_URGENCY = 0.45
 W_ACUITY = 0.20
@@ -35,15 +35,13 @@ WAIT_TERM_CAP = 0.3
 CAUSE_DRIFT = "drift"
 CAUSE_MEMORY = "memory"
 
-_CRITICAL = UrgencyLevel.CRITICAL.rank
 # The pool's slot table (see AdaptiveQueue): one array per column.
 _COLUMNS = {
-    "_rank": np.intp,  # current level
+    "_drift": np.intp,  # drift_index of the current level and record visibility
     "_level_terms": np.float64,  # the urgency and acuity terms of the priority
     "_enqueued": np.float64,
     "_desk": np.intp,  # code of the assigned desk
     "_priority": np.float64,
-    "_memory": np.bool_,  # history record visible
     "_chart": np.bool_,  # the record's rule may still raise the level
 }
 
@@ -69,7 +67,7 @@ class PriorityWeights:
             raise ValidationError("wait_horizon must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class EscalationEvent:
     time: float
     patient_id: str
@@ -79,7 +77,7 @@ class EscalationEvent:
     reason: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class QueueEntry:
     patient: Patient
     enqueue_time: float
@@ -153,13 +151,14 @@ class AdaptiveQueue:
 
     A pooled pool keeps a slot table: one slot per enqueue, in enqueue order,
     and one array per column (see `_COLUMNS`).  A dequeued slot is marked
-    dead and never moved: its rank reads critical, so no sweep checks it, and
-    its level terms, enqueue time and priority read -inf, so no dequeue or
-    refresh revives it; `enqueue` takes only finite ones, so a slot is live
-    exactly when its enqueue time is, and live slots are in `_entries` order.
-    An entry's level, acuity, record and `priority` are read when its slot
-    is written; then only sweeps change them, a priority in the slot table
-    alone.  A per-desk pool keeps each desk's entries (`by_desk`).
+    dead and never moved: its drift index reads critical, so no sweep checks
+    it, and its level terms, enqueue time and priority read -inf, so no
+    dequeue or refresh revives it; `enqueue` takes only finite ones, so a
+    slot is live exactly when its enqueue time is, and live slots are in
+    `_entries` order.  An entry's level, acuity, record and `priority` are
+    read when its slot is written; then only sweeps change them, a priority
+    in the slot table alone.  A per-desk pool keeps each desk's entries
+    (`by_desk`).
     """
 
     def __init__(self, weights: PriorityWeights | None = None, pooled: bool = True):
@@ -171,6 +170,12 @@ class AdaptiveQueue:
         for name, dtype in _COLUMNS.items():
             setattr(self, name, np.empty(0, dtype))
         self._desk_codes: dict[str | None, int] = {}
+        # An escalated slot's level terms, by the rank it reaches; none reaches low.
+        self._escalated_terms = [
+            None if level.escalation_acuity is None
+            else self._level_terms_of(level, level.escalation_acuity)
+            for level in UrgencyLevel
+        ]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -197,22 +202,23 @@ class AdaptiveQueue:
             return
         rows, codes = self._rows, self._desk_codes
         i = len(rows)
-        if i == len(self._rank):
+        if i == len(self._drift):
             for name in _COLUMNS:
                 col = getattr(self, name)
                 setattr(self, name, np.concatenate((col, np.empty(max(i, 64), col.dtype))))
-        self._rank[i] = entry.current_urgency.rank
-        self._level_terms[i] = self._level_terms_of(entry)
+        level, visible = entry.current_urgency, entry.record is not None
+        self._drift[i] = drift_index(level.rank, visible)
+        self._level_terms[i] = self._level_terms_of(level, entry.current_acuity)
         self._enqueued[i] = t
         self._desk[i] = codes.setdefault(desk, len(codes))
         self._priority[i] = entry.priority
-        self._memory[i] = self._chart[i] = entry.record is not None
+        self._chart[i] = visible
         rows.append(entry)
 
-    def _level_terms_of(self, entry: QueueEntry) -> float:
+    def _level_terms_of(self, level: UrgencyLevel, acuity: int) -> float:
         """`priority_score`'s first two terms; the sweep adds the rest in order."""
         w = self.weights
-        return w.urgency * entry.current_urgency.u_score + w.acuity * (entry.current_acuity / 10.0)
+        return w.urgency * level.u_score + w.acuity * (acuity / 10.0)
 
     def by_desk(self) -> dict[str | None, dict[str, QueueEntry]]:
         """A per-desk pool's waiting entries by desk, in pool order; read only."""
@@ -245,7 +251,7 @@ class AdaptiveQueue:
             i = min(tied, key=lambda j: (rows[j].enqueue_time, rows[j].patient_id))
         entry = rows[i]
         rows[i] = None
-        self._rank[i] = _CRITICAL
+        self._drift[i] = DRIFT_INDEX_CRITICAL
         self._level_terms[i] = self._enqueued[i] = self._priority[i] = -np.inf
         return self._entries.pop(entry.patient_id)
 
@@ -275,30 +281,31 @@ class AdaptiveQueue:
             return []
         rows = self._rows
         n = len(rows)
-        rank, level_terms, enqueued = self._rank[:n], self._level_terms[:n], self._enqueued[:n]
+        indices, level_terms, enqueued = self._drift[:n], self._level_terms[:n], self._enqueued[:n]
         if now < enqueued[enqueued.argmax()]:  # the latest enqueue
             raise ValidationError(f"reassessment at t={now} precedes an enqueue")
         loads = [load_of(d) for d in self._desk_codes]
         if not all(map(math.isfinite, loads)):
             raise ValidationError(f"desk loads must be finite, got {loads}")
-        # The live slots that may drift, in pool order, with the level and
-        # record visibility their checks read.  Only a slot's own check
-        # changes its level, so these are read once, before any check.
-        drifting = (rank < _CRITICAL).nonzero()[0]
+        # The live slots that may drift, in pool order, with the drift index
+        # their checks read.  Only a slot's own check changes its level, so
+        # these are read once, before any check.
+        drifting = (indices < DRIFT_INDEX_CRITICAL).nonzero()[0]
         drift_rows = drifting.tolist()
-        drift_ranks = rank[drifting]
-        drift_visible = self._memory[drifting]
+        drift_indices = indices[drifting]
+        escalated_terms = self._escalated_terms
         events: list[EscalationEvent] = []
 
         def escalate(i: int, target: UrgencyLevel, cause: str, reason: str) -> None:
-            events.append(_escalate(rows[i], now, target, cause, reason))
-            rank[i] = target.rank
-            level_terms[i] = self._level_terms_of(rows[i])
+            entry = rows[i]
+            events.append(_escalate(entry, now, target, cause, reason))
+            indices[i] = drift_index(target.rank, entry.record is not None)
+            level_terms[i] = escalated_terms[target.rank]
 
         def drift(start: int, stop: int) -> None:
             if start == stop:
                 return
-            fired = backend.assess_drift_batch(drift_ranks[start:stop], drift_visible[start:stop])
+            fired = backend.assess_drift_batch(drift_indices[start:stop])
             for k in fired.nonzero()[0].tolist():
                 i = drift_rows[start + k]
                 level = rows[i].current_urgency.next_higher()

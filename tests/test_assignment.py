@@ -107,7 +107,7 @@ def test_score_bounded(match, queue, longest, busy):
 
 def test_argmax_prefers_exact_specialist():
     roster = default_roster()
-    chosen = assign_scored(_patient(Specialty.ORTHOPEDICS), roster)
+    chosen = assign_scored(_patient(Specialty.ORTHOPEDICS), roster, 1)
     assert chosen.specialty is Specialty.ORTHOPEDICS
 
 
@@ -115,9 +115,9 @@ def test_argmax_invariant_under_roster_permutation():
     roster = default_roster()
     roster[1].queue_length = 3
     roster[3].queue_length = 1
-    chosen = assign_scored(_patient(Specialty.GENERAL_MEDICINE), roster)
+    chosen = assign_scored(_patient(Specialty.GENERAL_MEDICINE), roster, 3)
     reordered = list(reversed(roster))
-    assert assign_scored(_patient(Specialty.GENERAL_MEDICINE), reordered).physician_id == chosen.physician_id
+    assert assign_scored(_patient(Specialty.GENERAL_MEDICINE), reordered, 3).physician_id == chosen.physician_id
 
 
 # A room: specialty, status and queue length; short queues make ties common.
@@ -135,12 +135,13 @@ _ROOM = st.tuples(
 )
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_assign_scored_takes_the_best_public_score(rooms, ids, need):
-    # The one-pass pick is the highest score_assignment total, ties to the
-    # lowest id; ids are shuffled so roster order is not id order.
+    # The one-pass pick, given max(1, longest queue), is the highest
+    # score_assignment total, ties to the lowest id; ids are shuffled so
+    # roster order is not id order.
     roster = [Physician(f"R{k}", *room) for k, room in zip(ids, rooms)]
     patient = _patient(need)
     want = min(roster, key=lambda p: (-score_assignment(patient, p, roster).total, p.physician_id))
-    assert assign_scored(patient, roster) is want
+    assert assign_scored(patient, roster, max(1, max(p.queue_length for p in roster))) is want
 
 
 def test_round_robin_cycles_in_roster_order():

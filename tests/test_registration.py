@@ -115,6 +115,13 @@ def test_stage_matches_event_driven_desks(arrivals_by_seed, seed):
             registration_desks=desks, registration_mean=0.3, registration_std=0.0
         )
         _check(arrivals, seed, config)
+    # Heavy rejection: about half the draws fall below REG_MIN, so the floor
+    # drops values across many blocks of draws.
+    for desks in (1, 4):
+        config = StrategyConfig(
+            registration_desks=desks, registration_mean=0.6, registration_std=2.0
+        )
+        _check(arrivals, seed, config)
 
 
 def test_desks_beyond_the_arrivals_allocate_nothing(arrivals_by_seed):
@@ -187,8 +194,10 @@ def test_block_standard_normals_equal_scalar_draws(seed):
 
 @pytest.mark.parametrize("mean, std", SERVICE_PARAMS)
 def test_normal_is_mean_plus_std_times_standard_normal(mean, std):
+    # Composed one scalar at a time, and as one array: the same floats.
     for seed in range(20):
-        direct, composed = np.random.default_rng(seed), np.random.default_rng(seed)
+        direct, composed, block = (np.random.default_rng(seed) for _ in range(3))
         values = [float(direct.normal(mean, std)) for _ in range(500)]
         assert values == [mean + std * float(composed.standard_normal()) for _ in range(500)]
-        assert direct.bit_generator.state == composed.bit_generator.state
+        assert values == (mean + std * block.standard_normal(500)).tolist()
+        assert direct.bit_generator.state == composed.bit_generator.state == block.bit_generator.state

@@ -17,6 +17,7 @@ from opdsim.triage import (
     P_DRIFT_HIGH,
     P_DRIFT_LOW,
     P_DRIFT_MEDIUM,
+    drift_index,
 )
 
 
@@ -141,10 +142,15 @@ def test_drift_critical_input_rejected():
     backend = _backend()
     with pytest.raises(ValidationError):
         backend.assess_drift(UrgencyLevel.CRITICAL, False)
-    with pytest.raises(ValidationError):
-        backend.assess_drift_batch(
-            np.array([UrgencyLevel.LOW.rank, UrgencyLevel.CRITICAL.rank]), np.zeros(2, bool)
-        )
+    # A critical level's drift index is 6 or 7, past the table's last row.
+    for visible in (False, True):
+        with pytest.raises(ValidationError):
+            backend.assess_drift_batch(
+                np.array([drift_index(UrgencyLevel.LOW.rank, False),
+                          drift_index(UrgencyLevel.CRITICAL.rank, visible)])
+            )
+    highest = drift_index(UrgencyLevel.HIGH.rank, True)
+    assert highest == 5 and backend.assess_drift_batch(np.array([highest])).shape == (1,)
 
 
 @pytest.mark.parametrize("multiplier", [1.2, 40.0])
@@ -160,7 +166,7 @@ def test_drift_batch_matches_scalar_checks(multiplier):
         picked = [levels[k] for k in rng.integers(0, 3, n)]
         visible = rng.random(n) < 0.5
         fired = batch.assess_drift_batch(
-            np.array([lvl.rank for lvl in picked], dtype=np.intp), visible
+            np.array([drift_index(lvl.rank, h) for lvl, h in zip(picked, visible)], dtype=np.intp)
         )
         expected = [
             scalar.assess_drift(lvl, bool(h)) is not None for lvl, h in zip(picked, visible)
@@ -245,8 +251,9 @@ def test_owed_face_value_draws_read_the_stream_as_eager_ones(dataset42, seed):
             n = int(rng.integers(0, 6))
             ranks = rng.integers(0, 3, n).astype(np.intp)
             visible = rng.random(n) < 0.5
-            assert (owed.assess_drift_batch(ranks, visible).tolist()
-                    == eager.assess_drift_batch(ranks, visible).tolist())
+            index = drift_index(ranks, visible)  # elementwise
+            assert (owed.assess_drift_batch(index).tolist()
+                    == eager.assess_drift_batch(index).tolist())
         real_draws += 1
         assert owed.rng.bit_generator.state == eager.rng.bit_generator.state
     assert real_draws > 100 and min(kinds.values()) > 40

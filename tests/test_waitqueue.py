@@ -531,14 +531,24 @@ def _random_entry(rng, patient, history, t, memory=True):
     return e
 
 
+# Level weights away from the defaults: an escalated slot's level terms must
+# come from its pool's weights.
+WEIGHTED = PriorityWeights(urgency=0.5, acuity=0.2, waiting=0.2, load=0.1, wait_cap=0.4)
+
+
 @pytest.mark.parametrize("p_history", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("memory_enabled", [True, False])
-@pytest.mark.parametrize("seed", [1, 2])
-def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, seed):
+@pytest.mark.parametrize("seed, weights", [
+    pytest.param(1, None, id="1"),
+    pytest.param(2, None, id="2"),
+    pytest.param(1, WEIGHTED, id="1-weighted"),
+])
+def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, seed, weights):
     # Seeded pools of mixed levels (criticals included), several desks, and
     # history-visible entries, swept by the column code and by the reference
     # on twin backends, with enqueues and pooled dequeues between sweeps.  A
-    # 1.5x multiplier caps p_medium's history probability at 1.
+    # 1.5x multiplier caps p_medium's history probability at 1.  Both twins
+    # take `weights`.
     patients, history = dataset42
     rng = np.random.default_rng(seed)
     shuffled = [patients[i] for i in rng.permutation(len(patients))]
@@ -549,7 +559,7 @@ def test_reassess_matches_reference_sweep(dataset42, p_history, memory_enabled, 
     arrivals = iter(cohort[i] for i in rng.permutation(len(cohort)))
     params = DriftParams(p_low=0.2, p_medium=0.7, p_high=0.1, history_multiplier=1.5,
                          p_history_escalation=p_history)
-    fast, ref = AdaptiveQueue(), AdaptiveQueue(pooled=False)
+    fast, ref = AdaptiveQueue(weights), AdaptiveQueue(weights, pooled=False)
     fast_backend, ref_backend = _backend(params, seed), _backend(params, seed)
     t = 0.0
     n_events = n_memory = 0
