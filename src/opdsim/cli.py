@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import Physician, default_roster
-from .engine import ABLATION_VARIANTS, SessionMetrics, Strategy, StrategyConfig, run_session
+from .engine import ABLATION_VARIANTS, TRACE_FIELDS, SessionMetrics, Strategy, StrategyConfig, run_session
 from .errors import ValidationError
 from .patients import (
     Specialty,
@@ -352,9 +352,8 @@ def cmd_run(args) -> int:
         sys.stdout.write(metrics_json)
     if args.trace:
         trace_path = Path(args.trace_out or _default_trace_path(args.out))
-        header = ["time", "event", "patient_id", "physician_id", "detail"]
-        rows = (list(row.values()) for row in result.trace)  # record()'s field order
-        _atomic_write_text(trace_path, _csv_text(header, rows))
+        rows = (row.values() for row in result.trace)  # in TRACE_FIELDS order
+        _atomic_write_text(trace_path, _csv_text(TRACE_FIELDS, rows))
         print(f"wrote {trace_path}", file=sys.stderr)
     m = result.metrics
     avg_wait = "n/a" if m.avg_wait is None else f"{m.avg_wait:.1f} min"

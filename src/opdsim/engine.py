@@ -198,6 +198,10 @@ class SessionMetrics:
         return dataclasses.asdict(self)
 
 
+# The columns of a trace row, in order; the trace CSV's header.
+TRACE_FIELDS = ("time", "event", "patient_id", "physician_id", "detail")
+
+
 @dataclass
 class SessionResult:
     metrics: SessionMetrics
@@ -303,15 +307,7 @@ class _Session:
 
     def record(self, time: float, kind: str, patient_id: str = "", physician_id: str = "", detail: str = ""):
         # Called only when collect_trace is on: untraced runs format nothing.
-        self.trace.append(
-            {
-                "time": round(time, 6),
-                "event": kind,
-                "patient_id": patient_id,
-                "physician_id": physician_id,
-                "detail": detail,
-            }
-        )
+        self.trace.append(dict(zip(TRACE_FIELDS, (round(time, 6), kind, patient_id, physician_id, detail))))
 
     def load_of(self, physician_id: str) -> float:
         return self.by_id[physician_id].queue_length / self.longest

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ValidationError
 
 N_PATIENTS = 368
-N_HISTORY = 120
 
 # RNG stream keys (SeedSequence spawn keys) so patient attributes and history
 # selection draw from independent streams for the same seed.
@@ -58,6 +57,7 @@ class UrgencyLevel(Enum):
 
 
 _LEVELS = tuple(UrgencyLevel)  # by rank
+N_HISTORY = sum(level.history_count for level in UrgencyLevel)
 # The cohort deals face grades, and picks history records, highest grade
 # first; the pinned cohort fingerprints depend on this order.
 _DEAL_ORDER = _LEVELS[::-1]
@@ -140,85 +140,46 @@ CONDITIONS = {
 ALLERGY_POOL = ("Penicillin", "Sulfa drugs", "NSAIDs")
 ALLERGY_RATE = 0.15
 
-# Deterioration archetypes: deceptively mild presentations whose history
-# mandates escalation.  One record matching each is installed in every
-# generated dataset (hosted on face-LOW patients with matching demographics).
-# A condition listed in CONDITIONS counts toward its carriers.
+class Archetype(NamedTuple):
+    """A deterioration archetype: a deceptively mild presentation whose history
+    mandates escalation.  One record matching each is installed in every
+    generated dataset, hosted on a face-LOW patient with matching demographics.
+    A condition listed in CONDITIONS counts toward its carriers and brings its
+    medications; `medications` holds only the drugs no condition brings."""
+
+    key: str
+    age: int
+    gender: str
+    complaint: str
+    target: UrgencyLevel
+    reason: str
+    conditions: tuple[str, ...]
+    medications: tuple[str, ...] = ()
+    allergies: tuple[str, ...] = ()
+
+
 ARCHETYPES = (
-    {
-        "key": "prior_tia",
-        "age": 62, "gender": "M",
-        "complaint": "Mild headache, dizziness",
-        "target": UrgencyLevel.CRITICAL,
-        "reason": "Prior TIA 6 months ago - stroke warning",
-        "conditions": ("prior TIA",),
-        "medications": ("Aspirin",),
-        "allergies": (),
-    },
-    {
-        "key": "warfarin",
-        "age": 55, "gender": "F",
-        "complaint": "Minor bruising, bleeding",
-        "target": UrgencyLevel.CRITICAL,
-        "reason": "On Warfarin - minor bleeding may signal serious haemorrhage",
-        "conditions": ("atrial fibrillation",),
-        "medications": ("Warfarin",),
-        "allergies": (),
-    },
-    {
-        "key": "ckd_stage3",
-        "age": 48, "gender": "M",
-        "complaint": "Nausea, weakness",
-        "target": UrgencyLevel.HIGH,
-        "reason": "CKD Stage 3 - hyperkalaemia risk",
-        "conditions": ("chronic kidney disease",),
-        "medications": ("Calcium acetate",),
-        "allergies": (),
-    },
-    {
-        "key": "high_risk_pregnancy",
-        "age": 35, "gender": "F",
-        "complaint": "Mild abdominal pain",
-        "target": UrgencyLevel.CRITICAL,
-        "reason": "High-risk pregnancy - previous caesarean",
-        "conditions": ("high-risk pregnancy",),
-        "medications": ("Iron-folic acid", "Calcium supplement"),
-        "allergies": (),
-    },
-    {
-        "key": "severe_copd",
-        "age": 70, "gender": "M",
-        "complaint": "Cough, mild fever",
-        "target": UrgencyLevel.HIGH,
-        "reason": "Severe COPD with prior ICU admission",
-        "conditions": ("copd",),
-        "medications": ("Tiotropium inhaler",),
-        "allergies": (),
-    },
-    {
-        "key": "status_epilepticus",
-        "age": 28, "gender": "M",
-        "complaint": "Drowsy, confused",
-        "target": UrgencyLevel.HIGH,
-        "reason": "Prior status epilepticus; documented Phenytoin allergy",
-        "conditions": ("epilepsy",),
-        "medications": ("Levetiracetam",),
-        "allergies": ("Phenytoin",),
-    },
-    {
-        "key": "sle_immunosuppressed",
-        "age": 58, "gender": "F",
-        "complaint": "Low-grade fever",
-        "target": UrgencyLevel.HIGH,
-        "reason": "Immunosuppressed (SLE on mycophenolate) - masked infection risk",
-        "conditions": ("sle",),
-        "medications": ("Mycophenolate mofetil", "Hydroxychloroquine"),
-        "allergies": (),
-    },
+    Archetype("prior_tia", 62, "M", "Mild headache, dizziness", UrgencyLevel.CRITICAL,
+              "Prior TIA 6 months ago - stroke warning", ("prior TIA",), ("Aspirin",)),
+    Archetype("warfarin", 55, "F", "Minor bruising, bleeding", UrgencyLevel.CRITICAL,
+              "On Warfarin - minor bleeding may signal serious haemorrhage", ("atrial fibrillation",),
+              ("Warfarin",)),
+    Archetype("ckd_stage3", 48, "M", "Nausea, weakness", UrgencyLevel.HIGH,
+              "CKD Stage 3 - hyperkalaemia risk", ("chronic kidney disease",)),
+    Archetype("high_risk_pregnancy", 35, "F", "Mild abdominal pain", UrgencyLevel.CRITICAL,
+              "High-risk pregnancy - previous caesarean", ("high-risk pregnancy",)),
+    Archetype("severe_copd", 70, "M", "Cough, mild fever", UrgencyLevel.HIGH,
+              "Severe COPD with prior ICU admission", ("copd",)),
+    Archetype("status_epilepticus", 28, "M", "Drowsy, confused", UrgencyLevel.HIGH,
+              "Prior status epilepticus; documented Phenytoin allergy", ("epilepsy",),
+              allergies=("Phenytoin",)),
+    Archetype("sle_immunosuppressed", 58, "F", "Low-grade fever", UrgencyLevel.HIGH,
+              "Immunosuppressed (SLE on mycophenolate) - masked infection risk", ("sle",),
+              ("Mycophenolate mofetil",)),
 )
 
 # History records attach only to non-critical, non-pediatric patients.  The
-# face-urgency mix of the 120-record pool (`UrgencyLevel.history_count`) and
+# face-urgency mix of the history pool (`UrgencyLevel.history_count`) and
 # the number of records whose escalation target is CRITICAL are fixed design
 # constants: together with the escalation probability they set how many
 # hidden-critical patients a session can surface.
@@ -510,7 +471,7 @@ def _assign_specialties(rng, band_col, gender_col) -> list[Specialty]:
     return col  # type: ignore[return-value]
 
 
-def _pick_archetype_host(rng, spec: dict, pool: list[Patient], taken) -> Patient:
+def _pick_archetype_host(rng, spec: Archetype, pool: list[Patient], taken) -> Patient:
     """Choose a face-LOW history-eligible patient, not in `taken`, to carry an
     archetype record, and give it the archetype's complaint.
 
@@ -518,22 +479,22 @@ def _pick_archetype_host(rng, spec: dict, pool: list[Patient], taken) -> Patient
     demand), then the same gender and band, then the same gender; the age is
     set only when the band matches, so no marginal-bearing field moves.
     """
-    same_gender = [p for p in pool if p.patient_id not in taken and p.gender == spec["gender"]]
-    band = next(b for b in AgeBand if b.ages[0] <= spec["age"] <= b.ages[1])
+    same_gender = [p for p in pool if p.patient_id not in taken and p.gender == spec.gender]
+    band = next(b for b in AgeBand if b.ages[0] <= spec.age <= b.ages[1])
     same_band = [p for p in same_gender if p.age_band is band]
     exact = [p for p in same_band if p.required_specialty is Specialty.GENERAL_MEDICINE]
     for cand in (exact, same_band, same_gender):
         if cand:
             host = cand[int(rng.integers(0, len(cand)))]
             if host.age_band is band:
-                host.age = spec["age"]
-            host.complaint = spec["complaint"]
+                host.age = spec.age
+            host.complaint = spec.complaint
             return host
-    raise ValidationError(f"no eligible host patient for archetype {spec['key']}")
+    raise ValidationError(f"no eligible host patient for archetype {spec.key}")
 
 
 def generate_history_store(patients: list[Patient], seed: int) -> dict[str, HistoryRecord]:
-    """Attach longitudinal records to exactly 120 eligible patients.
+    """Attach longitudinal records to exactly N_HISTORY eligible patients.
 
     Eligible = non-critical face urgency and non-pediatric age band.  Resets
     and re-marks `has_history` on the given patients.
@@ -548,7 +509,7 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
         if len(eligible) < level.history_count:
             raise ValidationError(f"not enough eligible {level.value}-urgency patients for history")
 
-    hosts: dict[str, dict] = {}  # patient id -> archetype spec
+    hosts: dict[str, Archetype] = {}  # patient id -> archetype
     chosen: list[Patient] = []
     for spec in ARCHETYPES:
         host = _pick_archetype_host(rng, spec, by_face[UrgencyLevel.LOW], hosts)
@@ -576,10 +537,10 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
         meds = list(dict.fromkeys(m for c in conds if c in CONDITIONS for m in CONDITIONS[c].medications))
         spec = hosts.get(pid)
         if spec is not None:
-            rule = EscalationRule(spec["target"], spec["reason"])
-            # the spec's medications that no condition brings lead, last first
-            meds = [m for m in reversed(spec["medications"]) if m not in meds] + meds
-            allergies = list(spec["allergies"])
+            rule = EscalationRule(spec.target, spec.reason)
+            # the extras lead, last first, unless a dealt comorbidity brings one
+            meds = [m for m in reversed(spec.medications) if m not in meds] + meds
+            allergies = list(spec.allergies)
         else:
             critical = p.face_urgency is UrgencyLevel.HIGH or pid in hidden_critical
             target = UrgencyLevel.CRITICAL if critical else UrgencyLevel.HIGH
@@ -600,7 +561,7 @@ def generate_history_store(patients: list[Patient], seed: int) -> dict[str, Hist
     return records
 
 
-def _deal_conditions(rng, chosen: list[Patient], hosts: dict[str, dict]) -> dict[str, list[str]]:
+def _deal_conditions(rng, chosen: list[Patient], hosts: dict[str, Archetype]) -> dict[str, list[str]]:
     """Two-phase deal hitting the unique-patient condition counts exactly.
 
     Archetype hosts start with their spec's conditions, the counted ones
@@ -612,8 +573,8 @@ def _deal_conditions(rng, chosen: list[Patient], hosts: dict[str, dict]) -> dict
     remaining = {name: cond.carriers for name, cond in CONDITIONS.items()}
     conditions: dict[str, list[str]] = {p.patient_id: [] for p in chosen}
     for pid, spec in hosts.items():
-        conditions[pid].extend(spec["conditions"])
-        for cond in spec["conditions"]:
+        conditions[pid].extend(spec.conditions)
+        for cond in spec.conditions:
             if cond in remaining:
                 remaining[cond] -= 1
 

@@ -170,12 +170,6 @@ class AdaptiveQueue:
         for name, dtype in _COLUMNS.items():
             setattr(self, name, np.empty(0, dtype))
         self._desk_codes: dict[str | None, int] = {}
-        # An escalated slot's level terms, by the rank it reaches; none reaches low.
-        self._escalated_terms = [
-            None if level.escalation_acuity is None
-            else self._level_terms_of(level, level.escalation_acuity)
-            for level in UrgencyLevel
-        ]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -293,14 +287,13 @@ class AdaptiveQueue:
         drifting = (indices < DRIFT_INDEX_CRITICAL).nonzero()[0]
         drift_rows = drifting.tolist()
         drift_indices = indices[drifting]
-        escalated_terms = self._escalated_terms
         events: list[EscalationEvent] = []
 
         def escalate(i: int, target: UrgencyLevel, cause: str, reason: str) -> None:
             entry = rows[i]
             events.append(_escalate(entry, now, target, cause, reason))
             indices[i] = drift_index(target.rank, entry.record is not None)
-            level_terms[i] = escalated_terms[target.rank]
+            level_terms[i] = self._level_terms_of(target, entry.current_acuity)
 
         def drift(start: int, stop: int) -> None:
             if start == stop:

@@ -179,6 +179,29 @@ def test_deterioration_archetypes_present(dataset42):
     assert pregnancy.escalation_rule.target is UrgencyLevel.CRITICAL
 
 
+def _brought(conditions) -> set[str]:
+    """The medications `conditions` bring through CONDITIONS."""
+    return {m for c in conditions if c in CONDITIONS for m in CONDITIONS[c].medications}
+
+
+def test_archetypes_list_only_the_medications_no_condition_brings():
+    assert N_HISTORY == 120  # the paper's history subset
+    for spec in ARCHETYPES:
+        assert not set(spec.medications) & _brought(spec.conditions), spec.key
+    # Archetype complaints are not in COMPLAINTS, so each names its one host.
+    for seed in range(20):
+        patients, history = generate_dataset(seed)
+        hosts = {p.patient_id: spec for p in patients for spec in ARCHETYPES if p.complaint == spec.complaint}
+        assert sorted(spec.key for spec in hosts.values()) == sorted(spec.key for spec in ARCHETYPES)
+        for pid, spec in hosts.items():
+            rec = history[pid]
+            assert rec.conditions[: len(spec.conditions)] == list(spec.conditions), (seed, spec.key)
+            assert len(set(rec.medications)) == len(rec.medications), (seed, spec.key)
+            assert set(rec.medications) == set(spec.medications) | _brought(rec.conditions), (seed, spec.key)
+            assert rec.allergies == list(spec.allergies), (seed, spec.key)
+            assert (rec.escalation_rule.target, rec.escalation_rule.reason) == (spec.target, spec.reason)
+
+
 def test_generation_is_deterministic():
     a = generate_dataset(99)
     b = generate_dataset(99)
@@ -241,7 +264,7 @@ def test_pick_archetype_host_falls_back_in_order():
     # Generated cohorts always find an exact match, so each tier is pinned here:
     # exact match, then same band, then same gender; the age moves only when
     # the band matches.
-    spec = next(s for s in ARCHETYPES if s["key"] == "prior_tia")  # M, elderly, age 62
+    spec = next(s for s in ARCHETYPES if s.key == "prior_tia")  # M, elderly, age 62
     gm, ortho = Specialty.GENERAL_MEDICINE, Specialty.ORTHOPEDICS
     pool = [
         _pool_patient("F-eld", "F", AgeBand.ELDERLY, gm),
@@ -255,7 +278,7 @@ def test_pick_archetype_host_falls_back_in_order():
         host = _pick_archetype_host(rng, spec, pool, taken)
         assert host.patient_id == want
         assert host.age == age
-        assert host.complaint == spec["complaint"]
+        assert host.complaint == spec.complaint
         taken.add(host.patient_id)
     with pytest.raises(ValidationError, match="no eligible host patient for archetype prior_tia"):
         _pick_archetype_host(rng, spec, pool, taken)
