@@ -341,16 +341,15 @@ def cmd_run(args) -> int:
     patients, history = _load_dataset(args.dataset)
     config = _load_config(args)
     roster = _load_roster(args.roster)
-    result = run_session(
-        patients, history, config, args.seed, roster=roster, collect_trace=args.trace
-    )
+    trace = args.trace or args.trace_out is not None  # a trace path asks for the trace
+    result = run_session(patients, history, config, args.seed, roster=roster, collect_trace=trace)
     metrics_json = _json_text(result.metrics.to_dict())
     if args.out:
         _atomic_write_text(Path(args.out), metrics_json)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(metrics_json)
-    if args.trace:
+    if trace:
         trace_path = Path(args.trace_out or _default_trace_path(args.out))
         rows = (row.values() for row in result.trace)  # in TRACE_FIELDS order
         _atomic_write_text(trace_path, _csv_text(TRACE_FIELDS, rows))
@@ -541,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-memory", action="store_true", help="disable history escalation")
     p.add_argument("--no-drift", action="store_true", help="disable deterioration checks")
     p.add_argument("--trace", action="store_true", help="also write a CSV event log")
-    p.add_argument("--trace-out", help="trace path (default: <out>.trace.csv)")
+    p.add_argument("--trace-out", help="trace path, implies --trace (default: <out>.trace.csv)")
     _add_dataset_flags(p)
     p.set_defaults(handler=cmd_run)
 

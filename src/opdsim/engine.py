@@ -7,8 +7,8 @@ decided by the active queueing strategy.  After closing time no new consults
 start; consults already underway finish, everyone else counts as unserved.
 
 Event ordering at equal timestamps is fixed (consult-end, reassessment,
-registration-done, arrival, dispatch) so runs are exactly reproducible for a
-given seed and configuration.
+registration-done, dispatch) so runs are exactly reproducible for a given
+seed and configuration.  A trace is built after the loop, in the same order.
 """
 
 from __future__ import annotations
@@ -224,8 +224,6 @@ def _normals(rng: np.random.Generator):
 def _positive_normal(z, mean: float, std: float, floor: float) -> float:
     """Normal draw resampled until it clears the floor (service times).
     `mean + std * z` is what `Generator.normal(mean, std)` makes of the same z."""
-    if std == 0:
-        return max(mean, floor)
     while True:
         x = mean + std * next(z)
         if x >= floor:
@@ -273,7 +271,7 @@ def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfi
 
 
 class _Session:
-    def __init__(self, patients, history, config, seed, roster, backend, collect_trace):
+    def __init__(self, patients, history, config, seed, roster, backend):
         self.patients = patients
         self.history = history
         self.config = config
@@ -281,7 +279,6 @@ class _Session:
         self.roster = roster
         self.by_id = {p.physician_id: p for p in roster}
         self.backend = backend
-        self.collect_trace = collect_trace
 
         self.consult_z = _normals(_stream(seed, _STREAM_CONSULT))
 
@@ -298,33 +295,28 @@ class _Session:
 
         self.served: list[ServedVisit] = []
         self.escalations: list[EscalationEvent] = []
-        self.trace: list[dict] = []
+        self.desks: list[str] = []  # each registrant's assigned desk, in registration order
 
     # -- plumbing ---------------------------------------------------------
 
     def push(self, time: float, precedence: int, payload=None):
         heapq.heappush(self.heap, (time, precedence, next(self._seq), payload))
 
-    def record(self, time: float, kind: str, patient_id: str = "", physician_id: str = "", detail: str = ""):
-        # Called only when collect_trace is on: untraced runs format nothing.
-        self.trace.append(dict(zip(TRACE_FIELDS, (round(time, 6), kind, patient_id, physician_id, detail))))
-
     def load_of(self, physician_id: str) -> float:
         return self.by_id[physician_id].queue_length / self.longest
 
     # -- handlers ---------------------------------------------------------
 
-    def on_arrival(self, t: float, patient: Patient):  # traced runs only; see run()
-        self.record(t, "arrival", patient.patient_id)
+    def on_arrival(self, t: float, patient: Patient) -> tuple:  # one trace row; see _trace
+        return (t, "arrival", patient.patient_id, "", "")
 
     def on_reg_done(self, t: float, patient: Patient):
-        if self.collect_trace:
-            self.record(t, "reg_done", patient.patient_id)
         urgency, acuity = self.backend.triage_face_value(patient)
         visible = patient.has_history and self.config.memory_enabled  # where the switch acts
         physician = assign(patient, self.roster, self.strategy, self.rr_cursor, self.longest)
         self.rr_cursor += 1  # only round-robin reads it
         physician.queue_length += 1
+        self.desks.append(physician.physician_id)
         entry = QueueEntry(  # positional, in field order: the record is the visible one
             patient, t, urgency, urgency, acuity, physician.physician_id,
             self.history.get(patient.patient_id) if visible else None,
@@ -340,16 +332,12 @@ class _Session:
         elif self.config.strategy is Strategy.RULE_BASED:
             entry.priority = float(urgency.rank)
         self.queue.enqueue(entry)
-        if self.collect_trace:
-            self.record(t, "enqueue", patient.patient_id, physician.physician_id)
         if (self.idle if self.pooled else physician.status is PhysicianStatus.IDLE):
             self.dispatch_due = True  # a room can take this patient now
 
     def on_reassess(self, t: float, desk_events_ahead: bool):
         events = self.queue.reassess_tick(t, self.backend, self.load_of)
         self.escalations += events
-        for ev in events if self.collect_trace else ():  # no details to format otherwise
-            self.record(t, "escalation", ev.patient_id, detail=f"{ev.from_level.value}->{ev.to_level.value}:{ev.cause}")
         # With nothing else pending no patient can join the pool, so later
         # ticks would only sweep an empty one.
         nxt = t + self.config.drift.check_interval
@@ -387,25 +375,20 @@ class _Session:
             physician.physician_id, physician.specialty._value_,
             entry.enqueue_time, entry.level_entry_time, t, t + dur,
         ))
-        if self.collect_trace:
-            self.record(t, "consult_start", patient.patient_id, physician.physician_id, level.value)
         self.push(t + dur, _EVT_CONSULT_END, physician)
 
     def on_consult_end(self, t: float, physician: Physician):
         physician.status = PhysicianStatus.IDLE
         self.idle += 1
-        if self.collect_trace:
-            self.record(t, "consult_end", physician_id=physician.physician_id)
         waiting = len(self.queue) if self.pooled else physician.queue_length
         if waiting and t < self.config.session_minutes:
             self.dispatch_due = True  # someone can take the freed room
 
     # -- main loop --------------------------------------------------------
 
-    def run(self):
-        n = len(self.patients)
+    def run(self, collect_trace: bool):
         times = sample_arrivals(default_profile(), _stream(self.seed, _STREAM_ARRIVALS))
-        order = _stream(self.seed, _STREAM_PAIRING).permutation(n)
+        order = _stream(self.seed, _STREAM_PAIRING).permutation(len(self.patients))
         arrivals = [(t, self.patients[i]) for t, i in zip(times.tolist(), order.tolist())]
         regs, late, self.unregistered = registration_stage(
             arrivals, _stream(self.seed, _STREAM_REGISTRATION), self.config
@@ -419,22 +402,19 @@ class _Session:
         if self.config.drift_enabled and first <= self.config.session_minutes:
             self.push(first, _EVT_REASSESS)
 
-        # Merge three time-ordered sources; at equal t the heap's events come
-        # first, then registrations done, then arrivals.  Dispatch runs once,
-        # after the last event at an instant that asked for it.  Arrivals only
-        # write trace rows, so untraced runs skip them; `t_reg` alone says
-        # whether a patient can still join the pool.
+        # Merge two time-ordered sources; at equal t the heap's events come first,
+        # then registrations done.  Dispatch runs once, after the last event at an
+        # instant that asked for it.  `t_reg` says whether a patient can still join.
         heap = self.heap
-        regs = [(math.inf, None), *reversed(regs)]  # both taken from the end
-        arrivals = [(math.inf, None), *(reversed(arrivals) if self.collect_trace else ())]
+        pending = [(math.inf, None), *reversed(regs)]  # taken from the end
         t = -math.inf
         while True:
-            t_reg, t_arr = regs[-1][0], arrivals[-1][0]
+            t_reg = pending[-1][0]
             t_heap = heap[0][0] if heap else math.inf
-            if self.dispatch_due and t < t_heap and t < t_reg and t < t_arr:
+            if self.dispatch_due and t < t_heap and t < t_reg:
                 self.dispatch_due = False
                 self.on_dispatch(t)
-            elif t_heap <= t_reg and t_heap <= t_arr:
+            elif t_heap <= t_reg:
                 if t_heap == math.inf:
                     break
                 t, kind, _seq, payload = heapq.heappop(heap)
@@ -442,18 +422,34 @@ class _Session:
                     self.on_consult_end(t, payload)
                 else:
                     self.on_reassess(t, t_reg < math.inf)
-            elif t_reg <= t_arr:
-                t, patient = regs.pop()
-                self.on_reg_done(t, patient)
             else:
-                t, patient = arrivals.pop()
-                self.on_arrival(t, patient)
+                t, patient = pending.pop()
+                self.on_reg_done(t, patient)
 
-        return self._finish()
+        return self._finish(self._trace(arrivals, regs) if collect_trace else [])
+
+    def _trace(self, arrivals, regs) -> list[dict]:
+        """Trace rows from what the loop left: each source in its own order, and the
+        sources in the loop's order at one instant (consult ends, escalations, reg_done
+        with its enqueue, arrivals, consult starts), so a stable sort by time replays it."""
+        rows = [(v.consult_end, "consult_end", "", v.physician_id, "") for v in self.served]
+        rows += [
+            (e.time, "escalation", e.patient_id, "", f"{e.from_level.value}->{e.to_level.value}:{e.cause}")
+            for e in self.escalations
+        ]
+        for (t, patient), desk in zip(regs, self.desks, strict=True):
+            rows += [(t, "reg_done", patient.patient_id, "", ""), (t, "enqueue", patient.patient_id, desk, "")]
+        rows += [self.on_arrival(t, patient) for t, patient in arrivals]
+        rows += [
+            (v.consult_start, "consult_start", v.patient_id, v.physician_id, v.effective_urgency.value)
+            for v in self.served
+        ]
+        rows.sort(key=lambda row: row[0])  # stable: equal times keep the order above
+        return [dict(zip(TRACE_FIELDS, (round(row[0], 6), *row[1:]))) for row in rows]
 
     # -- metrics ----------------------------------------------------------
 
-    def _finish(self) -> SessionResult:
+    def _finish(self, trace: list[dict]) -> SessionResult:
         cfg = self.config
         served = self.served
         n = len(self.patients)
@@ -532,7 +528,7 @@ class _Session:
         )
         return SessionResult(
             metrics=metrics, escalations=self.escalations, served=served,
-            overall_waits=reg_waits.tolist(), critical_waits=crit_waits.tolist(), trace=self.trace,
+            overall_waits=reg_waits.tolist(), critical_waits=crit_waits.tolist(), trace=trace,
         )
 
 
@@ -548,6 +544,8 @@ def run_session(
     served-visit detail.  Deterministic in (config, seed, dataset, roster)."""
     if len(patients) != N_PATIENTS:
         raise ValidationError(f"expected the {N_PATIENTS}-patient cohort, got {len(patients)}")
+    if len({p.patient_id for p in patients}) != len(patients):
+        raise ValidationError("patient ids must be unique")
     roster = [
         dataclasses.replace(p, status=PhysicianStatus.IDLE, queue_length=0)
         for p in (default_roster() if roster is None else roster)
@@ -557,7 +555,7 @@ def run_session(
     if len({p.physician_id for p in roster}) != len(roster):
         raise ValidationError("physician ids must be unique")
     backend = CalibratedTriageBackend(_stream(seed, _STREAM_BACKEND), config.drift)
-    return _Session(patients, history, config, seed, roster, backend, collect_trace).run()
+    return _Session(patients, history, config, seed, roster, backend).run(collect_trace)
 
 
 def run_experiment(

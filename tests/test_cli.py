@@ -93,6 +93,19 @@ def test_run_trace_file_matches_golden(tmp_path, capsys):
     assert json.loads(out.read_text())["served_count"] == 216
 
 
+def test_trace_out_alone_asks_for_the_trace(tmp_path, capsys):
+    # A trace path without --trace still writes the trace, the same bytes.
+    blobs = []
+    for flags in (["--trace"], []):
+        path = tmp_path / f"t{len(blobs)}.csv"
+        assert main(["run", "--strategy", "agentic", "--seed", "7", "--out", str(tmp_path / "m.json"),
+                     *flags, "--trace-out", str(path)]) == 0
+        blobs.append(path.read_bytes())
+    capsys.readouterr()
+    assert blobs[0] == blobs[1]
+    assert hashlib.sha256(blobs[1]).hexdigest() == GOLDEN_AGENTIC_TRACE
+
+
 def test_run_with_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"strategy": "fcfs", "session_minutes": 120.0}))

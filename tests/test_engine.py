@@ -2,8 +2,10 @@
 
 import collections
 import csv
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -190,6 +192,17 @@ def test_duplicate_physician_ids_rejected(dataset42):
     for strategy in STRATEGIES:
         with pytest.raises(ValidationError, match="unique"):
             run_session(patients, history, StrategyConfig(strategy=strategy), 1, roster=roster)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_duplicate_patient_ids_rejected_before_the_session(dataset42, monkeypatch, strategy):
+    # A shared id would only break the accounting after a whole session, so
+    # the cohort is refused before anything is simulated.
+    patients, history = dataset42
+    twin = dataclasses.replace(patients[1], patient_id=patients[0].patient_id)
+    monkeypatch.setattr(engine._Session, "run", lambda *args: pytest.fail("session simulated"))
+    with pytest.raises(ValidationError, match="patient ids must be unique"):
+        run_session([patients[0], twin, *patients[2:]], history, StrategyConfig(strategy=strategy), 1000)
 
 
 @pytest.mark.parametrize(
@@ -624,8 +637,8 @@ def test_session_metrics_match_reference(dataset42, strategy, case):
 @pytest.mark.parametrize("case", sorted(RESULT_CASES) + sorted(GOLDEN_DESK_CONFIGS))
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_traced_and_untraced_runs_agree(dataset42, strategy, case):
-    # Untraced runs leave the arrival events out of the loop; nothing else
-    # may differ from a traced run.
+    # The trace is built after the loop, which runs the same way traced or
+    # not; asking for it may change nothing else.
     patients, history = dataset42
     overrides, roster = RESULT_CASES.get(case) or (GOLDEN_DESK_CONFIGS[case], None)
     config = StrategyConfig(strategy=strategy, **overrides)
@@ -638,6 +651,69 @@ def test_traced_and_untraced_runs_agree(dataset42, strategy, case):
         assert traced.metrics.to_dict() == untraced.metrics.to_dict()
         assert traced.served == untraced.served
         assert traced.escalations == untraced.escalations
+
+
+@pytest.mark.parametrize("case", sorted(RESULT_CASES))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_trace_has_one_row_per_event_in_time_order(dataset42, monkeypatch, strategy, case):
+    # A row per arrival and escalation, two per registrant (reg_done and
+    # enqueue) and two per visit (consult start and end), so arrivals +
+    # 2·registrants + escalations + 2·served rows, in time order.
+    # Arrivals and registrants are counted where the desks take them.
+    patients, history = dataset42
+    overrides, roster = RESULT_CASES[case]
+    config = StrategyConfig(strategy=strategy, **overrides)
+    stage, sizes = engine.registration_stage, []
+
+    def counting_stage(arrivals, *args):
+        entrants, late, never = stage(arrivals, *args)
+        sizes.append((len(arrivals), len(entrants)))
+        return entrants, late, never
+
+    monkeypatch.setattr(engine, "registration_stage", counting_stage)
+    for seed in (1000, 1001, 1002):
+        sizes.clear()
+        res = run_session(patients, history, config, seed, roster=roster, collect_trace=True)
+        [(arrivals, registrants)] = sizes
+        escalations, served = len(res.escalations), len(res.served)
+        assert collections.Counter(row["event"] for row in res.trace) == collections.Counter(
+            arrival=arrivals, reg_done=registrants, enqueue=registrants,
+            escalation=escalations, consult_start=served, consult_end=served,
+        )
+        times = [row["time"] for row in res.trace]
+        assert times == sorted(times)
+
+
+# At one instant the loop ends consults, then sweeps the pool, then takes
+# registrations (each enqueued at once), and dispatches last.  Arrivals change
+# nothing in the loop; the trace lists them just before dispatch.
+SAME_INSTANT_ORDER = ("consult_end", "escalation", "reg_done", "arrival", "consult_start")
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_rows_at_one_instant_keep_the_loop_order(dataset42, monkeypatch, strategy):
+    # Whole-minute arrivals, exact four-minute registrations at one desk,
+    # four-minute ticks and consults lasting their level's mean put every
+    # two kinds of event at some instant together.
+    patients, history = dataset42
+    monkeypatch.setattr(engine, "sample_arrivals", lambda *args: np.arange(N_PATIENTS, dtype=float))
+    monkeypatch.setattr(engine, "_normals", lambda rng: itertools.repeat(0.0))
+    config = StrategyConfig(strategy=strategy, registration_desks=1, registration_mean=4.0,
+                            registration_std=0.0, drift=DriftParams(check_interval=4.0))
+    res = run_session(patients, history, config, 1000, collect_trace=True,
+                      roster=[Physician("R00", Specialty.GENERAL_MEDICINE)])
+    together = set()
+    for _, rows in itertools.groupby(res.trace, key=lambda row: row["time"]):
+        rows = list(rows)
+        for row, after in zip(rows, rows[1:] + [None]):
+            if row["event"] == "reg_done":
+                assert (after["event"], after["patient_id"]) == ("enqueue", row["patient_id"])
+        ranks = [SAME_INSTANT_ORDER.index(row["event"]) for row in rows if row["event"] != "enqueue"]
+        assert ranks == sorted(ranks)
+        together.update(itertools.combinations(sorted(set(ranks)), 2))
+    kinds = {row["event"] for row in res.trace} - {"enqueue"}
+    assert together == set(itertools.combinations(sorted(map(SAME_INSTANT_ORDER.index, kinds)), 2))
+    assert ("escalation" in kinds) == (strategy == "agentic")
 
 
 # ------------------------------------------------------------ dispatch

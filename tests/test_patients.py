@@ -64,6 +64,9 @@ def test_level_table_fits_the_cohort_generator():
         assert 1 <= lo <= hi <= 10, lvl
         if lvl is not UrgencyLevel.LOW:
             assert lo <= lvl.escalation_acuity <= hi, lvl
+        # The engine's consult draw has no zero-std branch: it redraws until
+        # a normal clears the floor, which needs a spread.
+        assert lvl.consult[1] > 0, lvl
 
 
 def test_cohort_size_and_face_counts(dataset42):
