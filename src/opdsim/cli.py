@@ -222,6 +222,9 @@ def build_manifest(
 # session_ms_p50/p90 from the experiment_serial and experiment_parallel
 # workloads.
 
+# The columns of escalations.csv; a worker's escalation row leaves out the run seed.
+ESCALATION_FIELDS = ("run_seed", "time", "patient_id", "from_level", "to_level", "cause")
+
 # (patients, history, config, roster) of the current experiment.  `_run_many`
 # sets it before its first run in every process, so no run reads another
 # experiment's.
@@ -236,8 +239,7 @@ def _init_worker(patients, history, config, roster) -> None:
 
 def _worker_run(seed: int) -> dict:
     """One session of the experiment `_init_worker` set up; top-level so it
-    pickles by name.  Escalations are rows in escalations.csv column order,
-    without the leading run seed."""
+    pickles by name.  Escalations are rows in `ESCALATION_FIELDS[1:]` order."""
     patients, history, config, roster = _shared
     result = run_session(patients, history, config, seed, roster=roster)
     return {
@@ -277,7 +279,6 @@ def _experiment_dir(out_dir: Path, args, config, patients, history, dataset_fp, 
     )
     compat = manifest["compat_hash"]
     lines = []
-    esc_header = ["run_seed", "time", "patient_id", "from_level", "to_level", "cause"]
     esc_rows = []
     for payload, seed in zip(run_payloads, manifest["seeds"]):
         row = dict(payload["metrics"])
@@ -293,7 +294,7 @@ def _experiment_dir(out_dir: Path, args, config, patients, history, dataset_fp, 
             "overall": [p["overall_waits"] for p in run_payloads],
         },
     )
-    _atomic_write_text(out_dir / "escalations.csv", _csv_text(esc_header, esc_rows))
+    _atomic_write_text(out_dir / "escalations.csv", _csv_text(ESCALATION_FIELDS, esc_rows))
     summaries = summarize_runs([SessionMetrics(**p["metrics"]) for p in run_payloads])
     rows = [[name, f"{s.mean:.6f}", f"{s.std:.6f}", s.n] for name, s in summaries.items()]
     summary = f"# manifest: {compat}\n" + _csv_text(["metric", "mean", "std", "n"], rows)

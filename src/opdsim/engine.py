@@ -13,6 +13,7 @@ seed and configuration.  A trace is built after the loop, in the same order.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import dataclasses
 import enum
@@ -255,18 +256,25 @@ def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfi
     patient) in (time, start order); and the number of patients who never
     reached a desk."""
     draw = _floored_normals(rng, config.registration_mean, config.registration_std, REG_MIN).__next__
+    close, big, replace = config.session_minutes, sys.float_info.max, heapq.heapreplace
     # heap of the times desks free up; a desk beyond the arrival count is never taken
     free_at = [-math.inf] * min(config.registration_desks, len(arrivals))
     started, unregistered = [], 0
     for t, patient in arrivals:
-        if t < free_at[0] and free_at[0] >= config.session_minutes:
-            unregistered += 1
-            continue
-        end = min(max(t, free_at[0]) + draw(), sys.float_info.max)  # an overflow ends after closing
-        heapq.heapreplace(free_at, end)
+        free = free_at[0]
+        if t < free:
+            if free >= close:
+                unregistered += 1
+                continue
+            t = free
+        end = t + draw()
+        if end > big:  # an overflow ends after closing
+            end = big
+        replace(free_at, end)
         started.append((end, len(started), patient))
-    done = [(end, patient) for end, _, patient in sorted(started)]
-    k = sum(end < config.session_minutes for end, _ in done)
+    started.sort()
+    k = bisect.bisect_left(started, (close,))  # (close,) sorts before (close, i, patient)
+    done = [(end, patient) for end, _, patient in started]
     return done[:k], done[k:], unregistered
 
 
@@ -284,6 +292,7 @@ class _Session:
 
         self.strategy = config.strategy.value
         self.pooled = config.strategy is Strategy.AGENTIC
+        self.rule_based = config.strategy is Strategy.RULE_BASED
         self.queue = AdaptiveQueue(config.weights, self.pooled)
         self.rr_cursor = 0
         self.longest = 1  # max(1, longest desk queue), for loads and assignment in the pooled arm
@@ -292,6 +301,9 @@ class _Session:
         self.heap: list = []  # consult ends and reassessment ticks
         self._seq = itertools.count()
         self.dispatch_due = False
+        # Token arms: the roster positions of the rooms that can start a consult now.
+        self.position = {p.physician_id: i for i, p in enumerate(roster)}
+        self.ready: set[int] = set()
 
         self.served: list[ServedVisit] = []
         self.escalations: list[EscalationEvent] = []
@@ -329,11 +341,13 @@ class _Session:
             entry.priority = priority_score(
                 entry, t, physician.queue_length / self.longest, self.config.weights
             )
-        elif self.config.strategy is Strategy.RULE_BASED:
+        elif self.rule_based:
             entry.priority = float(urgency.rank)
         self.queue.enqueue(entry)
         if (self.idle if self.pooled else physician.status is PhysicianStatus.IDLE):
             self.dispatch_due = True  # a room can take this patient now
+            if not self.pooled:
+                self.ready.add(self.position[physician.physician_id])
 
     def on_reassess(self, t: float, desk_events_ahead: bool):
         events = self.queue.reassess_tick(t, self.backend, self.load_of)
@@ -351,17 +365,24 @@ class _Session:
         # to (token counters / specialty rooms).  The agentic orchestrator
         # instead hands whichever room frees up the highest-priority patient
         # in the shared pool; its assignment feeds the load-score terms only.
-        pooled, queue = self.pooled, self.queue
-        for physician in self.roster:
-            if physician.status is not PhysicianStatus.IDLE:
+        # A token room is ready exactly when its setter recorded it; the rooms
+        # start in roster order, since each draws its consult duration in turn.
+        queue, roster = self.queue, self.roster
+        if not self.pooled:
+            ready, self.ready = sorted(self.ready), set()
+            for i in ready:
+                physician = roster[i]
+                physician.queue_length -= 1
+                self._start_consult(t, physician, queue.dequeue_next(physician.physician_id))
+            return
+        for physician in roster:
+            if physician.status is not PhysicianStatus.IDLE or not len(queue):
                 continue
-            if not (len(queue) if pooled else physician.queue_length):
-                continue
-            entry = queue.dequeue_next(None if pooled else physician.physician_id)
+            entry = queue.dequeue_next()
             desk = self.by_id[entry.assigned_physician]
             desk.queue_length -= 1
-            if pooled and desk.queue_length + 1 == self.longest:  # a longest desk shrank
-                self.longest = max(1, max([p.queue_length for p in self.roster]))
+            if desk.queue_length + 1 == self.longest:  # a longest desk shrank
+                self.longest = max(1, max([p.queue_length for p in roster]))
             self._start_consult(t, physician, entry)
 
     def _start_consult(self, t: float, physician: Physician, entry: QueueEntry):
@@ -383,6 +404,8 @@ class _Session:
         waiting = len(self.queue) if self.pooled else physician.queue_length
         if waiting and t < self.config.session_minutes:
             self.dispatch_due = True  # someone can take the freed room
+            if not self.pooled:
+                self.ready.add(self.position[physician.physician_id])
 
     # -- main loop --------------------------------------------------------
 
@@ -454,7 +477,7 @@ class _Session:
         served = self.served
         n = len(self.patients)
         # One row per visit, in consult-start order.  Each per-level figure
-        # takes its visits by mask, so np.mean sums them in that order.
+        # takes its visits by mask, so `_mean` sums them in that order.
         rows = [
             (v.patient_id, v.physician_id, v.consult_start - v.registered_at,
              v.consult_start - v.level_entered_at, v.face_urgency.rank,
@@ -494,8 +517,8 @@ class _Session:
         face, effective = np.array(face, np.intp), np.array(effective, np.intp)
         crit_waits = level_waits[effective == UrgencyLevel.CRITICAL.rank]
 
-        def _mean(x) -> float | None:
-            return float(np.mean(x)) if len(x) else None
+        def _mean(x) -> float | None:  # np.mean's bits: add.reduce, then one division
+            return float(x.sum() / len(x)) if len(x) else None
 
         causes = collections.Counter(e.cause for e in self.escalations)
         per_physician = collections.Counter(physicians)
@@ -523,7 +546,7 @@ class _Session:
             memory_escalation_count=causes[CAUSE_MEMORY],
             escalation_count=causes[CAUSE_DRIFT] + causes[CAUSE_MEMORY],
             final_composition=composition,
-            specialty_match_rate=_mean(matched),
+            specialty_match_rate=_mean(np.array(matched, bool)),
             per_physician_served={pid: per_physician[pid] for pid in self.by_id},
         )
         return SessionResult(
@@ -546,10 +569,7 @@ def run_session(
         raise ValidationError(f"expected the {N_PATIENTS}-patient cohort, got {len(patients)}")
     if len({p.patient_id for p in patients}) != len(patients):
         raise ValidationError("patient ids must be unique")
-    roster = [
-        dataclasses.replace(p, status=PhysicianStatus.IDLE, queue_length=0)
-        for p in (default_roster() if roster is None else roster)
-    ]
+    roster = [Physician(p.physician_id, p.specialty) for p in (default_roster() if roster is None else roster)]
     if not roster:
         raise ValidationError("empty roster")
     if len({p.physician_id for p in roster}) != len(roster):

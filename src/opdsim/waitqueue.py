@@ -229,7 +229,7 @@ class AdaptiveQueue:
             pool = self._by_desk.get(physician_id)
             if not pool:
                 raise ValidationError(f"no waiting entries assigned to {physician_id}")
-            best = min(pool.values(), key=lambda e: (-e.priority, e.enqueue_time, e.patient_id))
+            best = min(pool.values(), key=lambda e: (-e.priority, e.enqueue_time, e.patient.patient_id))
             del pool[best.patient_id]
             return self._entries.pop(best.patient_id)
         if not self._entries:

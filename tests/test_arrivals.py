@@ -159,3 +159,81 @@ def test_count_only_attempt_draws_like_a_full_one():
             assert got is None
         outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def _reference_sample(profile, rng, *, count=None):
+    """`sample_poisson_process` as first written: each block's cumsum in place,
+    candidates concatenated, and λ through `profile.rate`."""
+    lam_max = profile.lambda_max
+    t0, t1 = profile.start_time, profile.end_time
+
+    candidates, t = None, t0
+    block = max(64, int(lam_max * (t1 - t0) * 1.25) + 32)
+    while t < t1:
+        ts = rng.exponential(1.0 / lam_max, size=block)
+        np.cumsum(ts, out=ts)
+        ts += t
+        candidates = ts if candidates is None else np.concatenate((candidates, ts))
+        t = float(ts[-1])
+        block = 64
+    candidates = candidates[: np.searchsorted(candidates, t1)]
+
+    u = rng.random(candidates.size)
+    rate = profile.rate(candidates)
+    rate /= lam_max
+    keep = u < rate
+    if count is not None and np.count_nonzero(keep) != count:
+        return None
+    return candidates[keep]
+
+
+class _ShortGaps(np.random.Generator):
+    """Exponential gaps a tenth as long, so the first block falls short of the
+    span and the sampler extends it block by block."""
+
+    def exponential(self, scale=1.0, size=None):
+        return super().exponential(scale, size) / 10.0
+
+
+ORACLE_PROFILES = {
+    "default": default_profile(),
+    "starts_at_30": IntensityProfile(tuple((t + 30.0, r) for t, r in default_profile().breakpoints)),
+    "zero_stretch": IntensityProfile(((0.0, 1.2), (120.0, 0.0), (240.0, 0.0), (SESSION, 1.5))),
+    "total_100": default_profile().scaled_to_total(100),
+}
+
+
+def _assert_draws_like_the_reference(make_rng, profile, count, attempts):
+    ours, ref = make_rng(), make_rng()
+    for _ in range(attempts):
+        got = sample_poisson_process(profile, ours, count=count)
+        want = _reference_sample(profile, ref, count=count)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("count", [None, N_PATIENTS])
+@pytest.mark.parametrize("name", sorted(ORACLE_PROFILES))
+def test_sampler_matches_the_reference_draw_for_draw(name, count):
+    profile = ORACLE_PROFILES[name]
+    for seed in range(200):
+        _assert_draws_like_the_reference(lambda: np.random.default_rng(seed), profile, count, 2)
+
+
+@pytest.mark.parametrize("count", [None, N_PATIENTS])
+@pytest.mark.parametrize("name", sorted(ORACLE_PROFILES))
+def test_extended_blocks_match_the_reference(name, count):
+    profile = ORACLE_PROFILES[name]
+    block = max(64, int(profile.lambda_max * (profile.end_time - profile.start_time) * 1.25) + 32)
+    first = _ShortGaps(np.random.PCG64(0)).exponential(1.0 / profile.lambda_max, block).sum()
+    assert first < profile.end_time - profile.start_time  # the first block falls short
+    for seed in range(20):
+        _assert_draws_like_the_reference(lambda: _ShortGaps(np.random.PCG64(seed)), profile, count, 2)
+
+
+def test_integral_is_the_trapezoid_of_the_breakpoints():
+    for profile in ORACLE_PROFILES.values():
+        times, rates = zip(*profile.breakpoints)
+        assert profile.integral() == float(np.trapezoid(rates, times))

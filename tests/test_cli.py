@@ -596,7 +596,9 @@ def test_escalation_rows_follow_the_csv_header(dataset42, monkeypatch):
 
     monkeypatch.setattr(cli, "run_session", with_event)
     cli._init_worker(*dataset42, StrategyConfig(strategy="fcfs"), default_roster())
-    assert cli._worker_run(1000)["escalations"] == [[12.3457, "P0001", "low", "medium", CAUSE_DRIFT]]
+    [row] = cli._worker_run(1000)["escalations"]
+    assert row == [12.3457, "P0001", "low", "medium", CAUSE_DRIFT]
+    assert cli.ESCALATION_FIELDS[1:] == ("time", "patient_id", "from_level", "to_level", "cause")
 
 
 # ---------------------------------------------------------------- compare

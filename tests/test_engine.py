@@ -749,6 +749,60 @@ def test_every_dispatch_starts_a_consult(dataset42, monkeypatch, strategy, case)
         assert set(started) == set(range(1, len(calls) + 1))
 
 
+def _roster_walk_dispatch(self, t):
+    """`_Session.on_dispatch` as it was before the token arms recorded their
+    ready rooms: every call walks the whole roster."""
+    pooled, queue = self.pooled, self.queue
+    for physician in self.roster:
+        if physician.status is not PhysicianStatus.IDLE:
+            continue
+        if not (len(queue) if pooled else physician.queue_length):
+            continue
+        entry = queue.dequeue_next(None if pooled else physician.physician_id)
+        desk = self.by_id[entry.assigned_physician]
+        desk.queue_length -= 1
+        if pooled and desk.queue_length + 1 == self.longest:  # a longest desk shrank
+            self.longest = max(1, max([p.queue_length for p in self.roster]))
+        self._start_consult(t, physician, entry)
+
+
+# Each case as (config overrides, roster, whether arrivals come in bursts of
+# four).  Bursts on four exact desks end four registrations at one instant,
+# so several rooms become ready together, in assignment order, not roster order.
+DISPATCH_CASES = {
+    **{case: (overrides, roster, False) for case, (overrides, roster) in RESULT_CASES.items()},
+    **{case: (overrides, None, False) for case, overrides in GOLDEN_DESK_CONFIGS.items()},
+    "twin_rooms_reversed": ({}, TWIN_ROOMS[::-1], False),
+    "bursts_of_four": (dict(registration_std=0.0), None, True),
+    "bursts_of_four_twin_rooms_reversed": (dict(registration_std=0.0), TWIN_ROOMS[::-1], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISPATCH_CASES))
+@pytest.mark.parametrize("strategy", ["fcfs", "rule_based"])
+def test_token_dispatch_matches_the_roster_walk(dataset42, monkeypatch, strategy, case):
+    # A token room can start exactly when its setter recorded it, and the
+    # recorded rooms start in roster order, so the session equals one whose
+    # every dispatch walks the roster.
+    patients, history = dataset42
+    overrides, roster, bursts = DISPATCH_CASES[case]
+    if bursts:
+        times = np.repeat(np.arange(N_PATIENTS // 4) * 4.0, 4)
+        monkeypatch.setattr(engine, "sample_arrivals", lambda *args: times)
+    config = StrategyConfig(strategy=strategy, **overrides)
+    for seed in range(1000, 1005):
+        got = run_session(patients, history, config, seed, roster=roster, collect_trace=True)
+        with monkeypatch.context() as m:
+            m.setattr(engine._Session, "on_dispatch", _roster_walk_dispatch)
+            want = run_session(patients, history, config, seed, roster=roster, collect_trace=True)
+        assert got.served == want.served
+        assert got.escalations == want.escalations
+        assert got.trace == want.trace
+        assert got.metrics.to_dict() == want.metrics.to_dict()
+        if bursts:  # some dispatch started several rooms
+            assert len({v.consult_start for v in got.served}) < len(got.served)
+
+
 # ------------------------------------------------------------ end state
 
 

@@ -19,6 +19,19 @@ SEEDS = (1000, 1001, 1002)
 CRITICAL = UrgencyLevel.CRITICAL.rank
 
 
+class _Cohort(tuple):
+    """The canonical cohort under a short name: Hypothesis shows every argument
+    of a failing example, and a repr of 368 patients makes it warn instead."""
+
+    def __repr__(self) -> str:
+        return "dataset42"
+
+
+@pytest.fixture(scope="module")
+def cohort(dataset42):
+    return _Cohort(dataset42)
+
+
 def _enqueue_times(res) -> dict[str, float]:
     return {row["patient_id"]: row["time"] for row in res.trace if row["event"] == "enqueue"}
 
@@ -229,9 +242,9 @@ def _expected_metrics(m: dict, c: float) -> dict:
     memory=st.booleans(),
 )
 def test_scaling_every_minute_by_a_power_of_two_scales_every_time(
-    dataset42, k, strategy, seed, desks, p_history, memory
+    cohort, k, strategy, seed, desks, p_history, memory
 ):
-    patients, history = dataset42
+    patients, history = cohort
     c = 2.0**k
     cfg = StrategyConfig(strategy=strategy, registration_desks=desks, memory_enabled=memory,
                          drift=DriftParams(p_history_escalation=p_history))
@@ -251,3 +264,44 @@ def test_scaling_every_minute_by_a_power_of_two_scales_every_time(
     # The scaled constants are restored.
     assert UrgencyLevel.LOW.consult == (5.0, 1.5) and engine.REG_MIN == 0.5
     assert arrivals.default_profile().end_time == 360.0
+
+
+CLOSING_CONFIGS = {
+    "default": {},
+    "one_desk": dict(registration_desks=1),
+    "eight_desks": dict(registration_desks=8),
+    "exact_registration": dict(registration_std=0.0),
+    "memory_off": dict(memory_enabled=False),
+}
+
+
+def _before(res, close):
+    """What a session did strictly before `close`: its trace rows, its served
+    visits (in consult-start order) and its escalations."""
+    return (
+        [row for row in res.trace if row["time"] < close],
+        [v for v in res.served if v.consult_start < close],
+        [e for e in res.escalations if e.time < close],
+    )
+
+
+# Nothing a session does before it closes may depend on when it closes
+# (local causality; Fujimoto 1990): closed at T' < 360 it replays the
+# 360-minute session up to T'.  The short run also sweeps at T' itself, so
+# the two are compared strictly before it.
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    strategy=st.sampled_from(["fcfs", "rule_based", "agentic"]),
+    case=st.sampled_from(sorted(CLOSING_CONFIGS)),
+    seed=st.integers(1000, 1005),
+    close=st.integers(4, 1436).map(lambda quarters: quarters / 4),  # exact in six decimals
+)
+def test_a_session_closed_early_replays_the_long_one(cohort, strategy, case, seed, close):
+    patients, history = cohort
+    config = StrategyConfig(strategy=strategy, **CLOSING_CONFIGS[case])
+    full = run_session(patients, history, config, seed, collect_trace=True)
+    short_config = dataclasses.replace(config, session_minutes=close)
+    short = run_session(patients, history, short_config, seed, collect_trace=True)
+    before = _before(full, close)
+    assert _before(short, close) == before
+    assert short.served == before[1]  # no consult starts at or after closing
