@@ -213,35 +213,37 @@ def build_manifest(
 # ---------------------------------------------------------------------------
 # experiment plumbing
 #
-# `_init_worker` hands each process the cohort, config and roster once; the
-# payload of a run is then its seed alone.
+# One runner serves experiment, ablation and calibrate.  `_init_worker` hands
+# each process the cohort, the command's configs and the roster once; a task
+# is then a (config index, seed) pair.
 #
-# perfbench/run.py times each experiment session by wrapping `_worker_run`
-# and `_run_many`, looked up by name on this module.  Renaming either one, or
-# changing their one-payload-in, one-dict-out shape, silently drops
+# perfbench/run.py times each session by wrapping `_worker_run` and
+# `_run_many`, looked up by name on this module, and pops its stamps from the
+# flat list `_run_many` returns.  Renaming either one, changing their
+# one-task-in, one-dict-out shape or nesting that list silently drops
 # session_ms_p50/p90 from the experiment_serial and experiment_parallel
 # workloads.
 
 # The columns of escalations.csv; a worker's escalation row leaves out the run seed.
 ESCALATION_FIELDS = ("run_seed", "time", "patient_id", "from_level", "to_level", "cause")
 
-# (patients, history, config, roster) of the current experiment.  `_run_many`
-# sets it before its first run in every process, so no run reads another
-# experiment's.
+# (patients, history, configs, roster) of the current command.  `_run_many`
+# sets it in every process before its first run, so no run reads another's.
 _shared: tuple = ()
 
 
-def _init_worker(patients, history, config, roster) -> None:
+def _init_worker(patients, history, configs, roster) -> None:
     """Pool initializer; under fork its arguments are inherited, not pickled."""
     global _shared
-    _shared = (patients, history, config, roster)
+    _shared = (patients, history, configs, roster)
 
 
-def _worker_run(seed: int) -> dict:
-    """One session of the experiment `_init_worker` set up; top-level so it
+def _worker_run(task: tuple[int, int]) -> dict:
+    """Task `(cell, seed)`: one session of `configs[cell]`; top-level so it
     pickles by name.  Escalations are rows in `ESCALATION_FIELDS[1:]` order."""
-    patients, history, config, roster = _shared
-    result = run_session(patients, history, config, seed, roster=roster)
+    patients, history, configs, roster = _shared
+    cell, seed = task
+    result = run_session(patients, history, configs[cell], seed, roster=roster)
     return {
         "metrics": result.metrics.to_dict(),
         "critical_waits": result.critical_waits,
@@ -253,34 +255,30 @@ def _worker_run(seed: int) -> dict:
     }
 
 
-def _run_many(patients, history, config, roster, base_seed, n_runs, workers) -> list[dict]:
+def _run_many(patients, history, configs, roster, base_seed, n_runs, workers) -> list[dict]:
+    """`n_runs` sessions of each config, in seed order, config after config."""
     if n_runs < 1:
         raise ValidationError(f"--runs must be at least 1, got {n_runs}")
     if workers < 1:
         raise ValidationError(f"--workers must be at least 1, got {workers}")
-    seeds = range(base_seed, base_seed + n_runs)
-    shared = (patients, history, config, roster)
-    # pool.map keeps seed order, so the worker count never changes the output
-    workers = min(workers, n_runs)
+    tasks = [(cell, s) for cell in range(len(configs)) for s in range(base_seed, base_seed + n_runs)]
+    shared = (patients, history, configs, roster)
+    # pool.map keeps task order, so the worker count never changes the output
+    workers = min(workers, len(tasks))
     if workers > 1:
         with multiprocessing.Pool(workers, _init_worker, shared) as pool:
-            return pool.map(_worker_run, seeds, chunksize=1)
+            return pool.map(_worker_run, tasks, chunksize=1)
     _init_worker(*shared)
-    return [_worker_run(s) for s in seeds]
+    return [_worker_run(t) for t in tasks]
 
 
-def _experiment_dir(out_dir: Path, args, config, patients, history, dataset_fp, roster) -> dict:
-    """Run `args.runs` sessions of `config` and write runs.jsonl + waits.json +
-    escalations.csv + summary.csv + manifest.json; nothing is written unless
-    every session ran."""
-    manifest = build_manifest(config, dataset_fp, roster, args.base_seed, args.runs)
-    run_payloads = _run_many(
-        patients, history, config, roster, args.base_seed, args.runs, args.workers
-    )
+def _experiment_dir(out_dir: Path, manifest: dict, run_payloads: list[dict]) -> dict:
+    """Write one config's runs.jsonl + waits.json + escalations.csv +
+    summary.csv + manifest.json from its payloads, in seed order; return its
+    summaries."""
     compat = manifest["compat_hash"]
-    lines = []
-    esc_rows = []
-    for payload, seed in zip(run_payloads, manifest["seeds"]):
+    lines, esc_rows = [], []
+    for payload, seed in zip(run_payloads, manifest["seeds"], strict=True):
         row = dict(payload["metrics"])
         row["manifest"] = compat
         lines.append(_canonical_json(row))
@@ -376,10 +374,10 @@ def cmd_experiment(args) -> int:
     patients, history = _load_dataset(args.dataset)
     config = _load_config(args)
     roster = _load_roster(args.roster)
-    summaries = _experiment_dir(
-        Path(args.out_dir), args, config, patients, history,
-        dataset_fingerprint(patients, history), roster,
-    )
+    dataset_fp = dataset_fingerprint(patients, history)
+    manifest = build_manifest(config, dataset_fp, roster, args.base_seed, args.runs)
+    payloads = _run_many(patients, history, [config], roster, args.base_seed, args.runs, args.workers)
+    summaries = _experiment_dir(Path(args.out_dir), manifest, payloads)
     print(f"wrote {args.out_dir} ({args.runs} runs of {config.strategy.value})")
     print(summary_table({config.strategy.value: summaries}))
     return 0
@@ -389,11 +387,14 @@ def cmd_ablation(args) -> int:
     patients, history = _load_dataset(args.dataset)
     roster = _load_roster(args.roster)
     dataset_fp = dataset_fingerprint(patients, history)
+    configs = [StrategyConfig(strategy=Strategy.AGENTIC, **f) for f in ABLATION_VARIANTS.values()]
+    # every session of every variant runs before the first file is written
+    payloads = _run_many(patients, history, configs, roster, args.base_seed, args.runs, args.workers)
     all_summaries = {}
-    for name, flags in ABLATION_VARIANTS.items():
-        config = StrategyConfig(strategy=Strategy.AGENTIC, **flags)
+    for k, name in enumerate(ABLATION_VARIANTS):
+        manifest = build_manifest(configs[k], dataset_fp, roster, args.base_seed, args.runs)
         all_summaries[name] = _experiment_dir(
-            Path(args.out_dir) / name, args, config, patients, history, dataset_fp, roster
+            Path(args.out_dir) / name, manifest, payloads[k * args.runs:(k + 1) * args.runs]
         )
     fields = [
         "escalation_count",
@@ -475,21 +476,20 @@ def cmd_calibrate(args) -> int:
     kappas = _parse_floats(args.kappas, "--kappas")
     p_hists = _parse_floats(args.p_hists, "--p-hists")
     # every cell is checked before the first session runs
-    cells = [(k, p, DriftParams(history_multiplier=k, p_history_escalation=p))
-             for k in kappas for p in p_hists]
+    drifts = [DriftParams(history_multiplier=k, p_history_escalation=p)
+              for k in kappas for p in p_hists]
+    configs = [StrategyConfig(strategy=Strategy.AGENTIC, drift=drift) for drift in drifts]
+    payloads = _run_many(patients, history, configs, roster, args.base_seed, args.runs, args.workers)
     rows = []
-    for kappa, p_hist, drift in cells:
-        config = StrategyConfig(strategy=Strategy.AGENTIC, drift=drift)
-        payloads = _run_many(
-            patients, history, config, roster, args.base_seed, args.runs, args.workers
-        )
-        esc = sum(p["metrics"]["escalation_count"] for p in payloads) / len(payloads)
-        crit = sum(p["metrics"]["final_composition"]["critical"] for p in payloads) / len(payloads)
+    for k, drift in enumerate(drifts):
+        cell = payloads[k * args.runs:(k + 1) * args.runs]
+        summaries = summarize_runs([SessionMetrics(**p["metrics"]) for p in cell])
+        esc, crit = summaries["escalation_count"].mean, summaries["composition_critical"].mean
         dist = (
             abs(esc - args.target_drifts) / args.target_drifts
             + abs(crit - args.target_crit) / args.target_crit
         )
-        rows.append((kappa, p_hist, esc, crit, dist, drift))
+        rows.append((drift.history_multiplier, drift.p_history_escalation, esc, crit, dist, drift))
     best = min(rows, key=lambda row: row[4])  # the first of equal distances
     print("kappa  p_hist  escalations  critical  distance")
     for row in rows:

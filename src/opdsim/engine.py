@@ -294,7 +294,6 @@ class _Session:
         self.pooled = config.strategy is Strategy.AGENTIC
         self.rule_based = config.strategy is Strategy.RULE_BASED
         self.queue = AdaptiveQueue(config.weights, self.pooled)
-        self.rr_cursor = 0
         self.longest = 1  # max(1, longest desk queue), for loads and assignment in the pooled arm
         self.idle = len(roster)  # rooms without a consult
 
@@ -325,8 +324,7 @@ class _Session:
     def on_reg_done(self, t: float, patient: Patient):
         urgency, acuity = self.backend.triage_face_value(patient)
         visible = patient.has_history and self.config.memory_enabled  # where the switch acts
-        physician = assign(patient, self.roster, self.strategy, self.rr_cursor, self.longest)
-        self.rr_cursor += 1  # only round-robin reads it
+        physician = assign(patient, self.roster, self.strategy, len(self.desks), self.longest)
         physician.queue_length += 1
         self.desks.append(physician.physician_id)
         entry = QueueEntry(  # positional, in field order: the record is the visible one

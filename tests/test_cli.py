@@ -571,15 +571,17 @@ def test_experiment_pool_is_capped_at_the_run_count(tmp_path, serial_pool):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def test_experiment_pool_tasks_are_bare_seeds(tmp_path, serial_pool):
-    # The cohort, config and roster reach each worker once, through the
-    # initializer; what the pool sends per task is the run's seed alone.
+def test_experiment_pool_tasks_are_config_index_and_seed(tmp_path, serial_pool):
+    # The cohort, the configs and the roster reach each worker once, through
+    # the initializer; what the pool sends per task is (config index, seed).
     _experiment(tmp_path / "x", strategy="fcfs", runs=3, base_seed=500, extra=["--workers", "2"])
     [(_, initializer, initargs, fn, tasks)] = serial_pool
     assert initializer is cli._init_worker and fn is cli._worker_run
-    patients, history, config, roster = initargs
-    assert len(patients) == 368 and len(history) == 120 and config.strategy.value == "fcfs"
-    assert tasks == [500, 501, 502] and all(type(x) is int for x in tasks)
+    patients, history, configs, roster = initargs
+    assert len(patients) == 368 and len(history) == 120
+    assert [c.strategy.value for c in configs] == ["fcfs"]
+    assert tasks == [(0, 500), (0, 501), (0, 502)]
+    assert all(type(cell) is int and type(seed) is int for cell, seed in tasks)
 
 
 def test_escalation_rows_follow_the_csv_header(dataset42, monkeypatch):
@@ -595,8 +597,8 @@ def test_escalation_rows_follow_the_csv_header(dataset42, monkeypatch):
         return result
 
     monkeypatch.setattr(cli, "run_session", with_event)
-    cli._init_worker(*dataset42, StrategyConfig(strategy="fcfs"), default_roster())
-    [row] = cli._worker_run(1000)["escalations"]
+    cli._init_worker(*dataset42, [StrategyConfig(strategy="fcfs")], default_roster())
+    [row] = cli._worker_run((0, 1000))["escalations"]
     assert row == [12.3457, "P0001", "low", "medium", CAUSE_DRIFT]
     assert cli.ESCALATION_FIELDS[1:] == ("time", "patient_id", "from_level", "to_level", "cause")
 
@@ -728,8 +730,8 @@ def test_ablation_grid(tmp_path, capsys):
 
 
 def test_ablation_reruns_are_byte_identical_across_worker_counts(tmp_path, capsys):
-    # Each variant starts its own pool, so every worker runs that variant's
-    # config, not the one the previous pool was started with.
+    # One pool serves all four variants, so each task must run its own
+    # variant's config, whichever worker takes it.
     dirs = tmp_path / "w1", tmp_path / "w2"
     for d, workers in zip(dirs, ("1", "2")):
         assert main(["ablation", "--runs", "2", "--base-seed", "100",
@@ -747,6 +749,44 @@ def test_ablation_reruns_are_byte_identical_across_worker_counts(tmp_path, capsy
             assert ma == mb, name
         else:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_ablation_and_calibrate_each_start_one_pool(tmp_path, capsys, serial_pool):
+    assert main(["ablation", "--runs", "2", "--base-seed", "100", "--workers", "2",
+                 "--out-dir", str(tmp_path / "abl")]) == 0
+    assert main(["calibrate", "--runs", "2", "--base-seed", "100", "--workers", "2",
+                 "--kappas", "1.0,1.2", "--p-hists", "0.145,0.5,1.0"]) == 0
+    capsys.readouterr()
+    [ablation, calibrate] = serial_pool
+    for (processes, initializer, initargs, fn, tasks), cells in ((ablation, 4), (calibrate, 6)):
+        assert processes == 2 and initializer is cli._init_worker and fn is cli._worker_run
+        assert len(initargs[2]) == cells
+        assert tasks == [(cell, seed) for cell in range(cells) for seed in (100, 101)]
+    patients, history, configs, roster = calibrate[2]
+    drifts = [(c.drift.history_multiplier, c.drift.p_history_escalation) for c in configs]
+    assert drifts == [(k, p) for k in (1.0, 1.2) for p in (0.145, 0.5, 1.0)]
+    # One session per variant: more workers than tasks start one per task.
+    serial_pool.clear()
+    assert main(["ablation", "--runs", "1", "--workers", "64",
+                 "--out-dir", str(tmp_path / "capped")]) == 0
+    capsys.readouterr()
+    [(processes, *_, tasks)] = serial_pool
+    assert processes == 4 and tasks == [(cell, 1000) for cell in range(4)]
+
+
+def test_ablation_writes_nothing_unless_every_variant_ran(tmp_path, capsys, monkeypatch):
+    # The last variant fails: the first three must not be on disk either.
+    run_session = cli.run_session
+
+    def neither_fails(patients, history, config, seed, **kwargs):
+        if not (config.memory_enabled or config.drift_enabled):
+            raise cli.ValidationError("no session for the neither variant")
+        return run_session(patients, history, config, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "run_session", neither_fails)
+    assert main(["ablation", "--runs", "1", "--out-dir", str(tmp_path / "abl")]) == 3
+    assert "neither variant" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- calibrate

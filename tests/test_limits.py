@@ -14,6 +14,7 @@ from opdsim.assignment import Physician, default_roster
 from opdsim.engine import StrategyConfig, run_session
 from opdsim.patients import Specialty, UrgencyLevel
 from opdsim.triage import DriftParams
+from opdsim.waitqueue import PriorityWeights
 
 SEEDS = (1000, 1001, 1002)
 CRITICAL = UrgencyLevel.CRITICAL.rank
@@ -137,6 +138,30 @@ def test_one_room_one_desk_fcfs_is_a_single_server_queue(dataset42, seed):
         assert v.consult_start == max(v.registered_at, free)
         free = v.consult_end
     assert served[0].consult_start == served[0].registered_at
+
+
+ONE_TERM = {"fcfs": PriorityWeights(urgency=0.0, acuity=0.0, waiting=1.0, load=0.0),
+            "rule_based": PriorityWeights(urgency=1.0, acuity=0.0, waiting=0.0, load=0.0)}
+
+
+@pytest.mark.parametrize("token", sorted(ONE_TERM))
+@pytest.mark.parametrize("specialty", [Specialty.GENERAL_MEDICINE, Specialty.SURGERY])
+def test_one_term_agentic_arm_serves_as_its_token_arm(dataset42, token, specialty):
+    # One room, no drift or memory, the same registration time: with no
+    # sweep the wait term stays 0 and the pool keeps enqueue order, as fcfs
+    # does; weighted on urgency alone it ranks by presenting class, as
+    # rule_based does.  The pooled path then serves exactly as the per-desk one.
+    patients, history = dataset42
+    room = [Physician("R00", specialty)]
+    same = dict(memory_enabled=False, drift_enabled=False,
+                registration_mean=engine.REG_MEAN_MANUAL)
+    pooled = StrategyConfig(strategy="agentic", weights=ONE_TERM[token], **same)
+    for seed in (1000, 1001, 1002):
+        a = run_session(patients, history, pooled, seed, roster=room, collect_trace=True)
+        b = run_session(patients, history, StrategyConfig(strategy=token, **same), seed,
+                        roster=room, collect_trace=True)
+        assert a.served == b.served and a.trace == b.trace
+        assert a.metrics.to_dict() == b.metrics.to_dict() | {"strategy": "agentic"}
 
 
 def _relabelled(patients, history):
