@@ -107,7 +107,7 @@ def sample_poisson_process(
     ts = ts[: ts.searchsorted(t1)]
 
     u = rng.random(ts.size)
-    rate = np.interp(ts, profile._times, profile._rates, 0.0, 0.0)  # profile.rate, inlined
+    rate = profile.rate(ts)
     rate /= lam_max
     keep = u < rate
     if count is not None and np.count_nonzero(keep) != count:

@@ -77,9 +77,9 @@ class Strategy(enum.Enum):
     AGENTIC = "agentic"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategyConfig:
-    """Everything that varies between experimental arms.
+    """Everything that varies between experimental arms; immutable once checked.
 
     Non-agentic strategies have no reassessment loop, so memory and drift
     flags are forced off for them.
@@ -96,8 +96,10 @@ class StrategyConfig:
     weights: PriorityWeights = field(default_factory=PriorityWeights)
 
     def __post_init__(self):
+        # The strategy, the token arms' flags and the default registration mean
+        # are resolved before validation, past the frozen dataclass's __setattr__.
         try:
-            self.strategy = Strategy(self.strategy)
+            object.__setattr__(self, "strategy", Strategy(self.strategy))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"unknown strategy {self.strategy!r}") from exc
         if type(self.registration_desks) is not int:
@@ -108,12 +110,11 @@ class StrategyConfig:
             if not isinstance(getattr(self, name), bool):
                 raise ValidationError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.strategy is not Strategy.AGENTIC:
-            self.memory_enabled = False
-            self.drift_enabled = False
+            object.__setattr__(self, "memory_enabled", False)
+            object.__setattr__(self, "drift_enabled", False)
         if self.registration_mean is None:
-            self.registration_mean = (
-                REG_MEAN_ASSISTED if self.strategy is Strategy.AGENTIC else REG_MEAN_MANUAL
-            )
+            mean = REG_MEAN_ASSISTED if self.strategy is Strategy.AGENTIC else REG_MEAN_MANUAL
+            object.__setattr__(self, "registration_mean", mean)
         if self.registration_desks < 1:
             raise ValidationError("need at least one registration desk")
         for name in ("registration_mean", "registration_std", "session_minutes"):
@@ -224,24 +225,15 @@ def _normals(rng: np.random.Generator):
 
 def _positive_normal(z, mean: float, std: float, floor: float) -> float:
     """Normal draw resampled until it clears the floor (service times).
-    `mean + std * z` is what `Generator.normal(mean, std)` makes of the same z."""
+    `mean + std * z` is what `Generator.normal(mean, std)` makes of the same z;
+    with no spread it is `max(mean, floor)`, read without a draw.  Python floats
+    overflow to inf without a warning."""
+    if std == 0:
+        return max(mean, floor)
     while True:
         x = mean + std * next(z)
         if x >= floor:
             return x
-
-
-def _floored_normals(rng: np.random.Generator, mean: float, std: float, floor: float):
-    """`_positive_normal`'s draws in order, 256 normals at a time: `mean + std * z`
-    elementwise is the scalar expression, and dropping the values below the
-    floor skips exactly the draws it would redraw.  An overflow reads inf."""
-    if std == 0:
-        yield from itertools.repeat(max(mean, floor))
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = mean + std * rng.standard_normal(256)
-            kept = x[x >= floor].tolist()
-        yield from kept
 
 
 def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfig):
@@ -255,7 +247,7 @@ def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfi
     end at or after it, too late to join the consult queue, each as (done time,
     patient) in (time, start order); and the number of patients who never
     reached a desk."""
-    draw = _floored_normals(rng, config.registration_mean, config.registration_std, REG_MIN).__next__
+    z, mean, std = _normals(rng), config.registration_mean, config.registration_std
     close, big, replace = config.session_minutes, sys.float_info.max, heapq.heapreplace
     # heap of the times desks free up; a desk beyond the arrival count is never taken
     free_at = [-math.inf] * min(config.registration_desks, len(arrivals))
@@ -267,7 +259,7 @@ def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfi
                 unregistered += 1
                 continue
             t = free
-        end = t + draw()
+        end = t + _positive_normal(z, mean, std, REG_MIN)
         if end > big:  # an overflow ends after closing
             end = big
         replace(free_at, end)

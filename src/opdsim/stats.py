@@ -98,23 +98,8 @@ class WelchResult:
     degenerate: bool = False
 
 
-def cohen_d(a, b) -> float:
-    """Pooled-standard-deviation effect size."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    na, nb = len(a), len(b)
-    if na < 2 or nb < 2:
-        raise ValidationError("need at least two observations per group")
-    va, vb = float(np.var(a, ddof=1)), float(np.var(b, ddof=1))
-    pooled = math.sqrt(((na - 1) * va + (nb - 1) * vb) / (na + nb - 2))
-    diff = float(np.mean(a) - np.mean(b))
-    if pooled == 0.0:
-        return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-    return diff / pooled
-
-
-def welch_t(a, b) -> WelchResult:
-    """Welch's t-test (unequal variances), two-sided."""
+def _moments(a, b) -> tuple[int, int, float, float, float, float, float]:
+    """Sizes, means, sample variances and Cohen's d of two groups of two or more."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     na, nb = len(a), len(b)
@@ -122,6 +107,23 @@ def welch_t(a, b) -> WelchResult:
         raise ValidationError("need at least two observations per group")
     ma, mb = float(np.mean(a)), float(np.mean(b))
     va, vb = float(np.var(a, ddof=1)), float(np.var(b, ddof=1))
+    pooled = math.sqrt(((na - 1) * va + (nb - 1) * vb) / (na + nb - 2))
+    diff = ma - mb
+    if pooled == 0.0:
+        d = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+    else:
+        d = diff / pooled
+    return na, nb, ma, mb, va, vb, d
+
+
+def cohen_d(a, b) -> float:
+    """Pooled-standard-deviation effect size."""
+    return _moments(a, b)[-1]
+
+
+def welch_t(a, b) -> WelchResult:
+    """Welch's t-test (unequal variances), two-sided."""
+    na, nb, ma, mb, va, vb, d = _moments(a, b)
     sa, sb = va / na, vb / nb
     degenerate = sa + sb == 0.0
     if degenerate:
@@ -131,9 +133,13 @@ def welch_t(a, b) -> WelchResult:
         df, p = float(na + nb - 2), 1.0 if same else 0.0
     else:
         t = (ma - mb) / math.sqrt(sa + sb)
+        # Welch-Satterthwaite, on both variances scaled by one power of two so
+        # that no square under- or overflows.
+        e = math.frexp(max(sa, sb))[1]
+        sa, sb = math.ldexp(sa, -e), math.ldexp(sb, -e)
         df = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
         p = t_sf_two_sided(t, df)
-    return WelchResult(ma, mb, t, df, p, cohen_d(a, b), na, nb, degenerate)
+    return WelchResult(ma, mb, t, df, p, d, na, nb, degenerate)
 
 
 @dataclass

@@ -103,6 +103,11 @@ class QueueEntry:
         return self.patient.patient_id
 
 
+def level_terms(w: PriorityWeights, level: UrgencyLevel, acuity: int) -> float:
+    """The urgency and acuity terms of `priority_score`, which adds the rest in order."""
+    return w.urgency * level.u_score + w.acuity * (acuity / 10.0)
+
+
 def priority_score(
     entry: QueueEntry,
     now: float,
@@ -121,11 +126,10 @@ def priority_score(
             f"priority evaluated at t={now} before enqueue at t={entry.enqueue_time}"
         )
     w = weights or PriorityWeights()
-    u = entry.current_urgency.u_score
-    a = entry.current_acuity / 10.0
     wait_term = w.wait_cap * min((now - entry.enqueue_time) / w.wait_horizon, 1.0)
     load_term = 1.0 - min(max(physician_load, 0.0), 1.0)
-    return w.urgency * u + w.acuity * a + w.waiting * wait_term + w.load * load_term
+    terms = level_terms(w, entry.current_urgency, entry.current_acuity)
+    return terms + w.waiting * wait_term + w.load * load_term
 
 
 def _escalate(
@@ -202,17 +206,12 @@ class AdaptiveQueue:
                 setattr(self, name, np.concatenate((col, np.empty(max(i, 64), col.dtype))))
         level, visible = entry.current_urgency, entry.record is not None
         self._drift[i] = drift_index(level.rank, visible)
-        self._level_terms[i] = self._level_terms_of(level, entry.current_acuity)
+        self._level_terms[i] = level_terms(self.weights, level, entry.current_acuity)
         self._enqueued[i] = t
         self._desk[i] = codes.setdefault(desk, len(codes))
         self._priority[i] = entry.priority
         self._chart[i] = visible
         rows.append(entry)
-
-    def _level_terms_of(self, level: UrgencyLevel, acuity: int) -> float:
-        """`priority_score`'s first two terms; the sweep adds the rest in order."""
-        w = self.weights
-        return w.urgency * level.u_score + w.acuity * (acuity / 10.0)
 
     def by_desk(self) -> dict[str | None, dict[str, QueueEntry]]:
         """A per-desk pool's waiting entries by desk, in pool order; read only."""
@@ -275,7 +274,7 @@ class AdaptiveQueue:
             return []
         rows = self._rows
         n = len(rows)
-        indices, level_terms, enqueued = self._drift[:n], self._level_terms[:n], self._enqueued[:n]
+        indices, terms, enqueued = self._drift[:n], self._level_terms[:n], self._enqueued[:n]
         if now < enqueued[enqueued.argmax()]:  # the latest enqueue
             raise ValidationError(f"reassessment at t={now} precedes an enqueue")
         loads = [load_of(d) for d in self._desk_codes]
@@ -293,7 +292,7 @@ class AdaptiveQueue:
             entry = rows[i]
             events.append(_escalate(entry, now, target, cause, reason))
             indices[i] = drift_index(target.rank, entry.record is not None)
-            level_terms[i] = self._level_terms_of(target, entry.current_acuity)
+            terms[i] = level_terms(self.weights, target, entry.current_acuity)
 
         def drift(start: int, stop: int) -> None:
             if start == stop:
@@ -334,6 +333,6 @@ class AdaptiveQueue:
         np.minimum(priority, 1.0, out=priority)
         priority *= w.wait_cap
         priority *= w.waiting
-        priority += level_terms
+        priority += terms
         priority += load[self._desk[:n]]
         return events

@@ -509,6 +509,34 @@ REPORT_PINS = {
 }
 
 
+# sha256 of each manifest's "config" section as JSON with indent 2 and sorted
+# keys, for the three experiment arms and the four ablation variants.
+MANIFEST_CONFIG_PINS = {
+    "abl/full": "71973df72f5ecf4352be3b28ed07f26a59c06bfdde93755345d830b32f677459",
+    "abl/neither": "7d7355d3fb1c0e0d23b6b3a0ca4184364be6bd779b171f3d53a5de92fc107460",
+    "abl/no_drift": "b65911532914a33f03acb9fe7a972bbd2f186a1659986038ed18e7dc72a13ff6",
+    "abl/no_memory": "bd938c2c689cc16111054e8795f68f61a14862c3d9b033baebcfba3eaa783407",
+    "agentic": "71973df72f5ecf4352be3b28ed07f26a59c06bfdde93755345d830b32f677459",
+    "fcfs": "03383e22dba77d6315bf94f9b7e06bb5cbbd226b2cb64bd522126d61c5c2e032",
+    "rule_based": "3ded72e57364dedbb1ec81d9a9fda37e17276fb79b7ab1ca024685a550161513",
+}
+
+
+def test_manifest_configs_are_pinned(tmp_path, capsys):
+    for strategy in ("fcfs", "rule_based", "agentic"):
+        _experiment(tmp_path / strategy, strategy=strategy, runs=1)
+    assert main(["ablation", "--runs", "1", "--out-dir", str(tmp_path / "abl")]) == 0
+    capsys.readouterr()
+    configs = {
+        m.parent.relative_to(tmp_path).as_posix(): json.loads(m.read_text())["config"]
+        for m in tmp_path.rglob("manifest.json")
+    }
+    assert {
+        name: hashlib.sha256(json.dumps(config, indent=2, sort_keys=True).encode()).hexdigest()
+        for name, config in configs.items()
+    } == MANIFEST_CONFIG_PINS
+
+
 def test_experiment_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     _experiment(a, runs=2)

@@ -407,6 +407,21 @@ def test_registration_mean_defaults_by_strategy():
     assert StrategyConfig(strategy="rule_based").registration_mean == pytest.approx(5.5)
 
 
+def test_config_is_frozen_once_checked():
+    # A field set after construction would skip every check: a NaN session
+    # would serve nobody without an error, and a strategy string would reach
+    # the engine unresolved.  Replacing a field checks the new config afresh.
+    cfg = StrategyConfig(strategy="fcfs")
+    assert (cfg.strategy, cfg.registration_mean) == (engine.Strategy.FCFS, 5.5)
+    assert not cfg.memory_enabled and not cfg.drift_enabled
+    for f in dataclasses.fields(cfg):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    with pytest.raises(ValidationError):
+        dataclasses.replace(cfg, session_minutes=float("nan"))
+    assert StrategyConfig.from_dict(cfg.to_dict()) == cfg
+
+
 # ------------------------------------------------------------ ablations
 
 
@@ -419,6 +434,32 @@ def test_flags_off_reproduces_face_composition(dataset42):
     assert m.drift_event_count == 0
     assert m.memory_escalation_count == 0
     assert m.final_composition == FACE_COMPOSITION
+
+
+@pytest.mark.parametrize("variant", sorted(ABLATION_VARIANTS))
+def test_without_drift_no_sweep_runs_and_priorities_stay_at_enqueue(dataset42, monkeypatch, variant):
+    # The sweep is the only refresh of the wait term, and memory escalation
+    # rides inside it.  Without drift no sweep runs, so each dequeue reads
+    # every priority as computed at enqueue; with drift the sweeps move them.
+    patients, history = dataset42
+    sweeps, at_enqueue = [], []
+    reassess_tick, dequeue_next = engine.AdaptiveQueue.reassess_tick, engine.AdaptiveQueue.dequeue_next
+
+    def sweep(queue, *args):
+        sweeps.append(args[0])
+        return reassess_tick(queue, *args)
+
+    def dequeue(queue, *args):
+        at_enqueue.append(queue.priorities() == [e.priority for e in queue.entries()])
+        return dequeue_next(queue, *args)
+
+    monkeypatch.setattr(engine.AdaptiveQueue, "reassess_tick", sweep)
+    monkeypatch.setattr(engine.AdaptiveQueue, "dequeue_next", dequeue)
+    cfg = StrategyConfig(strategy="agentic", **ABLATION_VARIANTS[variant])
+    served = sum(run_session(patients, history, cfg, seed).metrics.served_count for seed in range(1000, 1003))
+    assert len(at_enqueue) == served > 600
+    drift = cfg.drift_enabled
+    assert bool(sweeps) == drift and all(at_enqueue) != drift
 
 
 def test_drift_only_never_uses_memory(dataset42):

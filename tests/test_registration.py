@@ -9,7 +9,10 @@ and the late and never-registered counts.
 
 import heapq
 import itertools
+import math
+import sys
 import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
@@ -22,6 +25,8 @@ from opdsim.engine import (
     REG_MIN,
     REG_STD,
     StrategyConfig,
+    _normals,
+    _positive_normal,
     _stream,
     registration_stage,
 )
@@ -174,6 +179,34 @@ def test_stage_same_time_rules(dataset42):
     ]
     assert unregistered == 1
     _check(arrivals, 0, config)
+
+
+def test_positive_normal_without_spread_reads_no_draw():
+    # With no spread the floor is the whole rule, below the mean or above it.
+    for mean in (0.3, REG_MIN, REG_MEAN_MANUAL):
+        z = iter([7.0])
+        assert _positive_normal(z, mean, 0.0, REG_MIN) == max(mean, REG_MIN)
+        assert next(z) == 7.0
+
+
+def test_overflowing_durations_read_inf_and_end_at_the_largest_float(arrivals_by_seed):
+    # `mean + std * z` overflows to inf for z above ~0.06, without a warning;
+    # the stage clamps such an end to the largest float, after closing.
+    huge = 1.7e308
+    arrivals = arrivals_by_seed[1000]
+    config = StrategyConfig(
+        registration_desks=len(arrivals), registration_mean=huge, registration_std=huge
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = _normals(_stream(1000, 2))
+        draws = [_positive_normal(z, huge, huge, REG_MIN) for _ in range(len(arrivals))]
+        entrants, late, unregistered = registration_stage(arrivals, _stream(1000, 2), config)
+    assert math.inf in draws and min(draws) >= REG_MIN
+    assert entrants == [] and unregistered == 0
+    ends = [min(t + x, sys.float_info.max) for (t, _), x in zip(arrivals, draws)]
+    assert sorted(ends) == [t for t, _ in late]
+    assert max(ends) == sys.float_info.max
 
 
 # The block draws rely on two NumPy identities, pinned here for the values

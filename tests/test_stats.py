@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import scipy.special
 import scipy.stats
 
@@ -79,6 +81,27 @@ def test_welch_needs_two_per_group():
         welch_t([1.0], [2.0, 3.0])
     with pytest.raises(ValidationError):
         cohen_d([1.0, 2.0], [3.0])
+
+
+_CONSTANT_GROUP = st.tuples(st.sampled_from([2.0, 3.0]), st.integers(2, 4)).map(lambda c: [c[0]] * c[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=12), _CONSTANT_GROUP),
+    st.one_of(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=12), _CONSTANT_GROUP),
+)
+@example([2.0, 2.0], [2.0, 2.0, 2.0]).via("equal constants")
+@example([3.0, 3.0], [2.0, 2.0]).via("constants apart")
+@example([2.0, 2.0, 2.0], [3.0, 3.0]).via("constants apart, reversed")
+@example([0.0, 0.0], [0.0, 1.5e-116]).via("squared variances underflow")
+@example([0.0, 1e82], [0.0, -1e82]).via("squared variances overflow")
+def test_welch_reports_the_oracle_cohen_d(a, b):
+    res = welch_t(a, b)
+    assert res.cohen_d == cohen_d(a, b)
+    # Welch-Satterthwaite df lies between the smaller group's and the pooled df.
+    low, high = min(res.n_a, res.n_b) - 1, res.n_a + res.n_b - 2
+    assert low * (1 - 1e-12) <= res.df <= high * (1 + 1e-12)
 
 
 def test_cohen_d_zero_pooled_variance():
