@@ -25,11 +25,17 @@ W_AVAILABILITY = 0.20
 MATCH_EXACT = 1.0
 MATCH_GENERALIST = 0.5
 MATCH_NONE = 0.0
+# `assign_scored`'s match and availability terms: `AssignmentScore`'s products, taken once.
+_S_EXACT, _S_GENERALIST, _S_NONE = (W_SPECIALTY * m for m in (MATCH_EXACT, MATCH_GENERALIST, MATCH_NONE))
+_A_IDLE, _A_BUSY = W_AVAILABILITY * 1.0, W_AVAILABILITY * 0.0
 
 
 class PhysicianStatus(enum.Enum):
     IDLE = "idle"
     BUSY = "busy"
+
+
+_IDLE, _GENERAL = PhysicianStatus.IDLE, Specialty.GENERAL_MEDICINE  # bound once: class reads are slow
 
 
 @dataclass(slots=True)
@@ -103,17 +109,16 @@ def assign_scored(patient: Patient, roster: list[Physician], max_queue: int) -> 
 
     One pass: `max_queue` is `max(1, longest queue in roster)`, the caller's
     to keep; the match is `_specialty_match`'s and each total is summed in
-    `AssignmentScore`'s order: the same floats.
+    `AssignmentScore`'s order, of its products: the same floats.
     """
-    need, general = patient.required_specialty, Specialty.GENERAL_MEDICINE
+    need = patient.required_specialty
     best, best_total = None, -math.inf
     for p in roster:
         s = p.specialty
-        match = MATCH_EXACT if s is need else MATCH_GENERALIST if s is general else MATCH_NONE
         total = (
-            W_SPECIALTY * match
+            (_S_EXACT if s is need else _S_GENERALIST if s is _GENERAL else _S_NONE)
             + W_LOAD * (1.0 - p.queue_length / max_queue)
-            + W_AVAILABILITY * (1.0 if p.status is PhysicianStatus.IDLE else 0.0)
+            + (_A_IDLE if p.status is _IDLE else _A_BUSY)
         )
         if total > best_total or (total == best_total and p.physician_id < best.physician_id):
             best, best_total = p, total

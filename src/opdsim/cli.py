@@ -249,7 +249,7 @@ def _worker_run(task: tuple[int, int]) -> dict:
         "critical_waits": result.critical_waits,
         "overall_waits": result.overall_waits,
         "escalations": [
-            [round(e.time, 4), e.patient_id, e.from_level.value, e.to_level.value, e.cause]
+            [round(e.time, 4), e.patient_id, e.from_level._value_, e.to_level._value_, e.cause]
             for e in result.escalations
         ],
     }

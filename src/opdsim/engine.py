@@ -70,6 +70,11 @@ _STREAM_BACKEND = 4
 WITHIN_CRITICAL_FAST = 10.0
 WITHIN_CRITICAL_OK = 15.0
 
+# Bound once: on CPython 3.11 an enum member read through its class, or its `.value`, is slow.
+_IDLE, _BUSY = PhysicianStatus.IDLE, PhysicianStatus.BUSY
+_LEVELS = tuple(UrgencyLevel)  # by rank
+_CRITICAL_RANK = UrgencyLevel.CRITICAL.rank
+
 
 class Strategy(enum.Enum):
     FCFS = "fcfs"
@@ -282,7 +287,7 @@ class _Session:
 
         self.consult_z = _normals(_stream(seed, _STREAM_CONSULT))
 
-        self.strategy = config.strategy.value
+        self.strategy = config.strategy._value_
         self.pooled = config.strategy is Strategy.AGENTIC
         self.rule_based = config.strategy is Strategy.RULE_BASED
         self.queue = AdaptiveQueue(config.weights, self.pooled)
@@ -334,7 +339,7 @@ class _Session:
         elif self.rule_based:
             entry.priority = float(urgency.rank)
         self.queue.enqueue(entry)
-        if (self.idle if self.pooled else physician.status is PhysicianStatus.IDLE):
+        if (self.idle if self.pooled else physician.status is _IDLE):
             self.dispatch_due = True  # a room can take this patient now
             if not self.pooled:
                 self.ready.add(self.position[physician.physician_id])
@@ -366,7 +371,7 @@ class _Session:
                 self._start_consult(t, physician, queue.dequeue_next(physician.physician_id))
             return
         for physician in roster:
-            if physician.status is not PhysicianStatus.IDLE or not len(queue):
+            if physician.status is not _IDLE or not len(queue):
                 continue
             entry = queue.dequeue_next()
             desk = self.by_id[entry.assigned_physician]
@@ -376,11 +381,11 @@ class _Session:
             self._start_consult(t, physician, entry)
 
     def _start_consult(self, t: float, physician: Physician, entry: QueueEntry):
-        physician.status = PhysicianStatus.BUSY
+        physician.status = _BUSY
         self.idle -= 1
         level, patient = entry.current_urgency, entry.patient
         dur = _positive_normal(self.consult_z, *level.consult, CONSULT_MIN)
-        # In field order; an enum's `_value_` is its `value`, read without the property.
+        # In field order.
         self.served.append(ServedVisit(
             patient.patient_id, entry.face_urgency, level, patient.required_specialty._value_,
             physician.physician_id, physician.specialty._value_,
@@ -389,7 +394,7 @@ class _Session:
         self.push(t + dur, _EVT_CONSULT_END, physician)
 
     def on_consult_end(self, t: float, physician: Physician):
-        physician.status = PhysicianStatus.IDLE
+        physician.status = _IDLE
         self.idle += 1
         waiting = len(self.queue) if self.pooled else physician.queue_length
         if waiting and t < self.config.session_minutes:
@@ -447,14 +452,14 @@ class _Session:
         with its enqueue, arrivals, consult starts), so a stable sort by time replays it."""
         rows = [(v.consult_end, "consult_end", "", v.physician_id, "") for v in self.served]
         rows += [
-            (e.time, "escalation", e.patient_id, "", f"{e.from_level.value}->{e.to_level.value}:{e.cause}")
+            (e.time, "escalation", e.patient_id, "", f"{e.from_level._value_}->{e.to_level._value_}:{e.cause}")
             for e in self.escalations
         ]
         for (t, patient), desk in zip(regs, self.desks, strict=True):
             rows += [(t, "reg_done", patient.patient_id, "", ""), (t, "enqueue", patient.patient_id, desk, "")]
         rows += [self.on_arrival(t, patient) for t, patient in arrivals]
         rows += [
-            (v.consult_start, "consult_start", v.patient_id, v.physician_id, v.effective_urgency.value)
+            (v.consult_start, "consult_start", v.patient_id, v.physician_id, v.effective_urgency._value_)
             for v in self.served
         ]
         rows.sort(key=lambda row: row[0])  # stable: equal times keep the order above
@@ -487,7 +492,7 @@ class _Session:
         indexed = queues if self.pooled else {d: len(es) for d, es in self.queue.by_desk().items()}
         lengths = [p.queue_length for p in self.roster]
         if self.idle != len(lengths) or (self.pooled and self.longest != max(1, *lengths)) or any(
-            p.status is not PhysicianStatus.IDLE
+            p.status is not _IDLE
             or not p.queue_length == queues[p.physician_id] == indexed.get(p.physician_id, 0)
             for p in self.roster
         ):
@@ -498,14 +503,14 @@ class _Session:
         final = {p.patient_id: p.face_urgency.rank for p in self.patients}
         final.update(zip(ids, effective))
         final.update((e.patient_id, e.current_urgency.rank) for e in waiting)
-        counts = np.bincount(list(final.values()), minlength=len(UrgencyLevel)).tolist()
+        counts = np.bincount(list(final.values()), minlength=len(_LEVELS)).tolist()
         if sum(counts) != n:
             raise ValidationError("composition does not cover the cohort")
-        composition = {lvl.value: counts[lvl.rank] for lvl in UrgencyLevel}
+        composition = {lvl._value_: counts[lvl.rank] for lvl in _LEVELS}
 
         reg_waits, level_waits = np.array(reg_waits, float), np.array(level_waits, float)
         face, effective = np.array(face, np.intp), np.array(effective, np.intp)
-        crit_waits = level_waits[effective == UrgencyLevel.CRITICAL.rank]
+        crit_waits = level_waits[effective == _CRITICAL_RANK]
 
         def _mean(x) -> float | None:  # np.mean's bits: add.reduce, then one division
             return float(x.sum() / len(x)) if len(x) else None
@@ -513,7 +518,7 @@ class _Session:
         causes = collections.Counter(e.cause for e in self.escalations)
         per_physician = collections.Counter(physicians)
         metrics = SessionMetrics(
-            strategy=cfg.strategy.value,
+            strategy=cfg.strategy._value_,
             seed=self.seed,
             session_minutes=cfg.session_minutes,
             served_count=len(served),
@@ -522,16 +527,14 @@ class _Session:
             avg_wait=_mean(reg_waits),
             median_wait=float(np.median(reg_waits)) if len(reg_waits) else None,
             p95_wait=float(np.percentile(reg_waits, 95)) if len(reg_waits) else None,
-            wait_by_face={lvl.value: _mean(reg_waits[face == lvl.rank]) for lvl in UrgencyLevel},
-            wait_by_effective={
-                lvl.value: _mean(level_waits[effective == lvl.rank]) for lvl in UrgencyLevel
-            },
+            wait_by_face={lvl._value_: _mean(reg_waits[face == lvl.rank]) for lvl in _LEVELS},
+            wait_by_effective={lvl._value_: _mean(level_waits[effective == lvl.rank]) for lvl in _LEVELS},
             critical_wait_mean=_mean(crit_waits),
             # A percentage is the mean of 100s and 0s: exactly 100.0 * k / n.
             pct_critical_within_10=_mean(100.0 * (crit_waits < WITHIN_CRITICAL_FAST)),
             pct_critical_within_15=_mean(100.0 * (crit_waits < WITHIN_CRITICAL_OK)),
             critical_served=len(crit_waits),
-            critical_effective_count=composition[UrgencyLevel.CRITICAL.value],
+            critical_effective_count=counts[_CRITICAL_RANK],
             drift_event_count=causes[CAUSE_DRIFT],
             memory_escalation_count=causes[CAUSE_MEMORY],
             escalation_count=causes[CAUSE_DRIFT] + causes[CAUSE_MEMORY],

@@ -105,8 +105,12 @@ def _moments(a, b) -> tuple[int, int, float, float, float, float, float]:
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ValidationError("need at least two observations per group")
-    ma, mb = float(np.mean(a)), float(np.mean(b))
-    va, vb = float(np.var(a, ddof=1)), float(np.var(b, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        ma, mb = float(np.mean(a)), float(np.mean(b))
+        va, vb = float(np.var(a, ddof=1)), float(np.var(b, ddof=1))
+    for group, v in (("a", va), ("b", vb)):
+        if not math.isfinite(v):
+            raise ValidationError(f"variance of group {group} is not finite")
     pooled = math.sqrt(((na - 1) * va + (nb - 1) * vb) / (na + nb - 2))
     diff = ma - mb
     if pooled == 0.0:

@@ -166,8 +166,10 @@ class AdaptiveQueue:
     """
 
     def __init__(self, weights: PriorityWeights | None = None, pooled: bool = True):
-        self.weights = weights or PriorityWeights()
+        self.weights = w = weights or PriorityWeights()
         self._pooled = pooled
+        self._escalation_terms = {  # by rank: the level terms an escalation into it sets
+            lvl.rank: level_terms(w, lvl, lvl.escalation_acuity) for lvl in UrgencyLevel if lvl.rank}
         self._entries: dict[str, QueueEntry] = {}
         self._by_desk: dict[str | None, dict[str, QueueEntry]] = {}  # per-desk pools
         self._rows: list[QueueEntry | None] = []  # by slot, pooled pools
@@ -291,8 +293,8 @@ class AdaptiveQueue:
         def escalate(i: int, target: UrgencyLevel, cause: str, reason: str) -> None:
             entry = rows[i]
             events.append(_escalate(entry, now, target, cause, reason))
-            indices[i] = drift_index(target.rank, entry.record is not None)
-            terms[i] = level_terms(self.weights, target, entry.current_acuity)
+            indices[i] = 2 * target.rank + (entry.record is not None)  # drift_index
+            terms[i] = self._escalation_terms[target.rank]
 
         def drift(start: int, stop: int) -> None:
             if start == stop:
@@ -326,7 +328,7 @@ class AdaptiveQueue:
         # priority_score for every slot, in place and rounded term by term as
         # there; a dead slot's -inf level terms keep its priority at -inf.
         w = self.weights
-        load = np.array([w.load * (1.0 - min(max(x, 0.0), 1.0)) for x in loads])
+        load = np.array([w.load * (1.0 - (0.0 if x < 0.0 else 1.0 if x > 1.0 else x)) for x in loads])
         priority = self._priority[:n]
         np.subtract(now, enqueued, out=priority)
         priority /= w.wait_horizon

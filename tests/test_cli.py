@@ -703,6 +703,20 @@ def test_compare_refuses_mismatched_inputs(tmp_path, capsys, compare_dirs, file,
     assert not out.exists()
 
 
+def test_compare_refuses_waits_whose_variance_overflows(tmp_path, capsys, compare_dirs):
+    # A hand-edited wait of 1e200 squares past the float range: compare names
+    # the group, and NumPy prints no overflow warning on the way.
+    d = tmp_path / "b"
+    shutil.copytree(compare_dirs / "b", d)
+    waits = json.loads((d / "waits.json").read_text())
+    waits["critical"][0][0] = 1e200
+    (d / "waits.json").write_text(json.dumps(waits))
+    assert main(["compare", str(compare_dirs / "a"), str(d)]) == 3
+    err = capsys.readouterr().err
+    assert "variance of group b is not finite" in err
+    assert "Warning" not in err and "overflow" not in err
+
+
 def test_compare_refuses_unequal_run_counts(tmp_path, capsys):
     da, db = tmp_path / "a", tmp_path / "b"
     _experiment(da, strategy="fcfs", runs=2)

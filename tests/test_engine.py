@@ -7,6 +7,9 @@ import hashlib
 import io
 import itertools
 import json
+import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from opdsim.engine import (
     run_experiment,
     run_session,
 )
-from opdsim.errors import ValidationError
+from opdsim.errors import ValidationError, require_number
 from opdsim.assignment import Physician, PhysicianStatus
 from opdsim.patients import N_PATIENTS, Specialty, UrgencyLevel
 from opdsim.triage import DriftParams
@@ -399,6 +402,28 @@ def test_config_validation_and_round_trip():
             StrategyConfig(**{field: float("nan")})
     cfg = StrategyConfig(strategy="rule_based", session_minutes=300.0)
     assert StrategyConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class _Float(float):
+    """A float whose type is not `float`, so `require_number` checks it through
+    the `numbers.Real` path, not the plain-float one."""
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (0.0, True), (-2.5, True), (5e-324, True), (sys.float_info.max, True),
+    (-sys.float_info.max, True), (3, True), (10**300, True), (np.float64(1.5), True),
+    (Fraction(1, 3), True),
+    (math.inf, False), (-math.inf, False), (math.nan, False), (np.float64(math.inf), False),
+    (True, False), (False, False), (10**400, False), ("5", False), (None, False),
+])
+def test_require_number_verdicts(value, accepted):
+    # One table for both paths: every float is also checked as a float subclass.
+    for v in [value, _Float(value)] if type(value) is float else [value]:
+        if accepted:
+            require_number("x", v)
+        else:
+            with pytest.raises(ValidationError, match="x must be a finite number"):
+                require_number("x", v)
 
 
 def test_registration_mean_defaults_by_strategy():

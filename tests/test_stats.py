@@ -104,6 +104,20 @@ def test_welch_reports_the_oracle_cohen_d(a, b):
     assert low * (1 - 1e-12) <= res.df <= high * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("a, b, group", [
+    ([0.0, 1e200], [0.0, 1.0], "a"),
+    ([0.0, 1.0], [0.0, -1e160], "b"),
+    ([1e308, 1e308], [0.0, 1.0], "a"),  # the mean overflows too
+    ([0.0, 1.0], [0.0, math.inf], "b"),
+])
+def test_non_finite_variance_is_refused_by_name(a, b, group):
+    # The suite turns NumPy's overflow warning into an error, so this also
+    # checks that none is raised on the way to the refusal.
+    for fn in (welch_t, cohen_d):
+        with pytest.raises(ValidationError, match=f"variance of group {group} is not finite"):
+            fn(a, b)
+
+
 def test_cohen_d_zero_pooled_variance():
     assert cohen_d([2.0, 2.0], [2.0, 2.0]) == 0.0
     assert math.isinf(cohen_d([3.0, 3.0], [2.0, 2.0]))
