@@ -35,7 +35,8 @@ class PhysicianStatus(enum.Enum):
     BUSY = "busy"
 
 
-_IDLE, _GENERAL = PhysicianStatus.IDLE, Specialty.GENERAL_MEDICINE  # bound once: class reads are slow
+# Bound once: on CPython 3.11 an enum member read through its class is slow.
+_IDLE, _BUSY, _GENERAL = PhysicianStatus.IDLE, PhysicianStatus.BUSY, Specialty.GENERAL_MEDICINE
 
 
 @dataclass(slots=True)

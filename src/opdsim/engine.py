@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrivals import default_profile, sample_arrivals
-from .assignment import Physician, PhysicianStatus, assign, default_roster
+from .assignment import _BUSY, _IDLE, Physician, assign, default_roster
 from .errors import ValidationError, require_number
-from .patients import HistoryRecord, N_PATIENTS, Patient, UrgencyLevel
+from .patients import _LEVELS, HistoryRecord, N_PATIENTS, Patient, UrgencyLevel
 from .patients import seeded_stream as _stream
 from .triage import CalibratedTriageBackend, DriftParams
 from .waitqueue import (
@@ -70,9 +70,7 @@ _STREAM_BACKEND = 4
 WITHIN_CRITICAL_FAST = 10.0
 WITHIN_CRITICAL_OK = 15.0
 
-# Bound once: on CPython 3.11 an enum member read through its class, or its `.value`, is slow.
-_IDLE, _BUSY = PhysicianStatus.IDLE, PhysicianStatus.BUSY
-_LEVELS = tuple(UrgencyLevel)  # by rank
+# Bound once: on CPython 3.11 an enum member read through its class is slow.
 _CRITICAL_RANK = UrgencyLevel.CRITICAL.rank
 
 

@@ -10,9 +10,9 @@ class ValidationError(ValueError):
 
 
 def require_number(name: str, value) -> None:
-    """Refuse a config value that is not a finite real number: a bool (`true` would pass as
-    1), NaN (it passes `x <= 0` but fails the test below), ±inf, which JSON cannot carry,
-    and an int beyond the float range.  A plain float skips the slow `numbers.Real` check."""
-    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    """Refuse a config value that is not a finite real number: a bool (`true`
+    would pass as 1), NaN (it passes `x <= 0` but fails the test below), ±inf,
+    which JSON cannot carry, and an int beyond the float range."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not (real and abs(value) <= sys.float_info.max):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")

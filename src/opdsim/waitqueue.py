@@ -166,10 +166,8 @@ class AdaptiveQueue:
     """
 
     def __init__(self, weights: PriorityWeights | None = None, pooled: bool = True):
-        self.weights = w = weights or PriorityWeights()
+        self.weights = weights or PriorityWeights()
         self._pooled = pooled
-        self._escalation_terms = {  # by rank: the level terms an escalation into it sets
-            lvl.rank: level_terms(w, lvl, lvl.escalation_acuity) for lvl in UrgencyLevel if lvl.rank}
         self._entries: dict[str, QueueEntry] = {}
         self._by_desk: dict[str | None, dict[str, QueueEntry]] = {}  # per-desk pools
         self._rows: list[QueueEntry | None] = []  # by slot, pooled pools
@@ -293,8 +291,8 @@ class AdaptiveQueue:
         def escalate(i: int, target: UrgencyLevel, cause: str, reason: str) -> None:
             entry = rows[i]
             events.append(_escalate(entry, now, target, cause, reason))
-            indices[i] = 2 * target.rank + (entry.record is not None)  # drift_index
-            terms[i] = self._escalation_terms[target.rank]
+            indices[i] = drift_index(target.rank, entry.record is not None)
+            terms[i] = level_terms(self.weights, target, entry.current_acuity)
 
         def drift(start: int, stop: int) -> None:
             if start == stop:
