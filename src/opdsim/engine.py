@@ -200,7 +200,9 @@ class SessionMetrics:
     per_physician_served: dict[str, int]
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """`dataclasses.asdict`'s dict without its recursive deep copy: the
+        fields in order, each nested dict copied."""
+        return {k: dict(v) if type(v) is dict else v for k, v in vars(self).items()}
 
 
 # The columns of a trace row, in order; the trace CSV's header.
@@ -330,7 +332,8 @@ class _Session:
         # strategy's rank: the composite score, the presenting class, or (for
         # fcfs) nothing, which leaves enqueue order.  Only agentic reads loads.
         if self.pooled:  # the load is load_of's, read in place
-            self.longest = max(self.longest, physician.queue_length)
+            if physician.queue_length > self.longest:
+                self.longest = physician.queue_length
             entry.priority = priority_score(
                 entry, t, physician.queue_length / self.longest, self.config.weights
             )
@@ -500,7 +503,7 @@ class _Session:
         # waiting, else as presented.
         final = {p.patient_id: p.face_urgency.rank for p in self.patients}
         final.update(zip(ids, effective))
-        final.update((e.patient_id, e.current_urgency.rank) for e in waiting)
+        final.update((e.patient.patient_id, e.current_urgency.rank) for e in waiting)
         counts = np.bincount(list(final.values()), minlength=len(_LEVELS)).tolist()
         if sum(counts) != n:
             raise ValidationError("composition does not cover the cohort")

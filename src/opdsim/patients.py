@@ -51,7 +51,7 @@ class UrgencyLevel(Enum):
         return member
 
     def next_higher(self) -> "UrgencyLevel":
-        if self is UrgencyLevel.CRITICAL:
+        if self is _LEVELS[-1]:  # a bound name: a member read through the class is slow
             raise ValueError("critical has no higher level")
         return _LEVELS[self.rank + 1]
 
@@ -418,27 +418,29 @@ def generate_dataset(seed: int = 42) -> tuple[list[Patient], dict[str, HistoryRe
     payment_col = _shuffled(rng, _apportion(N_PATIENTS, PAYMENT_SHARES))
     specialty_col = _assign_specialties(rng, band_col, gender_col)
 
+    # Each patient's age, acuity and complaint index in one call, the bounds
+    # interleaved in that order: each element is drawn as a scalar call draws
+    # it, so the values and the stream are those of three calls per patient.
+    options_col = [COMPLAINTS[key] for key in zip(urgency_col, specialty_col)]
+    lows, highs = [], []
+    for band, urgency, options in zip(band_col, urgency_col, options_col):
+        lows += (band.ages[0], urgency.acuity_band[0], 0)
+        highs += (band.ages[1] + 1, urgency.acuity_band[1] + 1, len(options))
+    draws = rng.integers(lows, highs).tolist()
     patients: list[Patient] = []
     for i in range(N_PATIENTS):
-        band = band_col[i]
-        lo, hi = band.ages
-        age = int(rng.integers(lo, hi + 1))
-        urgency = urgency_col[i]
-        a_lo, a_hi = urgency.acuity_band
-        acuity = int(rng.integers(a_lo, a_hi + 1))
-        options = COMPLAINTS[(urgency, specialty_col[i])]
-        complaint = options[int(rng.integers(0, len(options)))]
+        age, acuity, choice = draws[3 * i : 3 * i + 3]
         patients.append(
             Patient(
                 patient_id=f"P{i + 1:04d}",
                 age=age,
-                age_band=band,
+                age_band=band_col[i],
                 gender=gender_col[i],
                 locality=locality_col[i],
                 language=language_col[i],
                 payment=payment_col[i],
-                complaint=complaint,
-                face_urgency=urgency,
+                complaint=options_col[i][choice],
+                face_urgency=urgency_col[i],
                 face_acuity=acuity,
                 required_specialty=specialty_col[i],
             )

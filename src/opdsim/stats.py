@@ -10,11 +10,12 @@ the test suite only, as an independent oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_number
 from .patients import UrgencyLevel
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -154,7 +155,11 @@ class WilsonInterval:
 
 
 def wilson_ci(successes: int, n: int, z: float = Z_95) -> WilsonInterval:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion; it always holds `p_hat`."""
+    for name, count in (("successes", successes), ("n", n)):
+        require_number(name, count)  # refuses bools and ints beyond the float range
+        if not isinstance(count, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer count, got {count!r}")
     if n <= 0:
         raise ValidationError("n must be positive")
     if not 0 <= successes <= n:
@@ -162,9 +167,11 @@ def wilson_ci(successes: int, n: int, z: float = Z_95) -> WilsonInterval:
     p = successes / n
     z2 = z * z
     denom = 1.0 + z2 / n
-    centre = (p + z2 / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n))
-    return WilsonInterval(p_hat=p, low=max(0.0, centre - half), high=min(1.0, centre + half))
+    centre = (p + z2 / (2.0 * n)) / denom
+    half = (z / denom) * math.sqrt(p * (1 - p) / n + z2 / (4.0 * n * n))
+    # Rounding can put a bound past p at k = 0 or k = n; interior bounds keep their bits.
+    low, high = max(0.0, centre - half), min(1.0, centre + half)
+    return WilsonInterval(p_hat=p, low=min(low, p), high=max(high, p))
 
 
 # ---------------------------------------------------------------------------

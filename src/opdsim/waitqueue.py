@@ -126,8 +126,12 @@ def priority_score(
             f"priority evaluated at t={now} before enqueue at t={entry.enqueue_time}"
         )
     w = weights or PriorityWeights()
-    wait_term = w.wait_cap * min((now - entry.enqueue_time) / w.wait_horizon, 1.0)
-    load_term = 1.0 - min(max(physician_load, 0.0), 1.0)
+    # min(m, 1.0) and max(x, 0.0) as comparisons in the builtins' order: the
+    # same float for every input, NaN and -0.0 included, at a fifth of the cost.
+    m = (now - entry.enqueue_time) / w.wait_horizon
+    wait_term = w.wait_cap * (1.0 if 1.0 < m else m)
+    x = 0.0 if 0.0 > physician_load else physician_load
+    load_term = 1.0 - (1.0 if 1.0 < x else x)
     terms = level_terms(w, entry.current_urgency, entry.current_acuity)
     return terms + w.waiting * wait_term + w.load * load_term
 
@@ -139,7 +143,7 @@ def _escalate(
         raise ValidationError(
             f"escalation must raise urgency ({entry.current_urgency} -> {target})"
         )
-    event = EscalationEvent(now, entry.patient_id, entry.current_urgency, target, cause, reason)
+    event = EscalationEvent(now, entry.patient.patient_id, entry.current_urgency, target, cause, reason)
     entry.current_urgency = target
     entry.current_acuity = target.escalation_acuity
     entry.level_entry_time = now
@@ -229,8 +233,9 @@ class AdaptiveQueue:
             if not pool:
                 raise ValidationError(f"no waiting entries assigned to {physician_id}")
             best = min(pool.values(), key=lambda e: (-e.priority, e.enqueue_time, e.patient.patient_id))
-            del pool[best.patient_id]
-            return self._entries.pop(best.patient_id)
+            pid = best.patient.patient_id
+            del pool[pid]
+            return self._entries.pop(pid)
         if not self._entries:
             raise ValidationError("dequeue from empty queue")
         rows = self._rows
@@ -241,12 +246,12 @@ class AdaptiveQueue:
         # argmax takes the first maximum, so a tie lies after it; a[a.argmax()] is a cheap a.max().
         if i + 1 < n and priority[i + 1 + priority[i + 1 :].argmax()] == top:
             tied = (priority == top).nonzero()[0].tolist()
-            i = min(tied, key=lambda j: (rows[j].enqueue_time, rows[j].patient_id))
+            i = min(tied, key=lambda j: (rows[j].enqueue_time, rows[j].patient.patient_id))
         entry = rows[i]
         rows[i] = None
         self._drift[i] = DRIFT_INDEX_CRITICAL
         self._level_terms[i] = self._enqueued[i] = self._priority[i] = -np.inf
-        return self._entries.pop(entry.patient_id)
+        return self._entries.pop(entry.patient.patient_id)
 
     def reassess_tick(self, now: float, backend: CalibratedTriageBackend, load_of) -> list[EscalationEvent]:
         """One sweep over the pool in enqueue order.  The engine schedules

@@ -419,6 +419,22 @@ def test_require_number_verdicts(value, accepted):
             require_number("x", value)
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_metrics_dict_is_asdict_and_owns_its_nested_dicts(dataset42, strategy):
+    # dataclasses.asdict stays the reference: the same keys in field order and
+    # the same values, so the metrics JSON keeps its bytes.
+    for seed in (1000, 1001, 1002):
+        metrics = run_session(*dataset42, StrategyConfig(strategy=strategy), seed).metrics
+        got, want = metrics.to_dict(), dataclasses.asdict(metrics)
+        assert list(got) == list(want) == [f.name for f in dataclasses.fields(SessionMetrics)]
+        assert json.dumps(got) == json.dumps(want)
+        nested = [key for key, value in got.items() if isinstance(value, dict)]
+        assert len(nested) == 4
+        for key in nested:
+            got[key].clear()
+        assert dataclasses.asdict(metrics) == want
+
+
 def test_registration_mean_defaults_by_strategy():
     assert StrategyConfig(strategy="agentic").registration_mean == pytest.approx(3.3)
     assert StrategyConfig(strategy="fcfs").registration_mean == pytest.approx(5.5)

@@ -1,6 +1,7 @@
 """Cohort generator: fixed marginals, archetype records, serialization."""
 
 import collections
+import copy
 import hashlib
 import json
 import pickle
@@ -9,11 +10,14 @@ from enum import Enum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdsim import generate_dataset
 from opdsim.errors import ValidationError
 from opdsim.patients import (
     ARCHETYPES,
+    COMPLAINTS,
     CONDITIONS,
     DATASET_SCHEMA_VERSION,
     N_HISTORY,
@@ -22,10 +26,12 @@ from opdsim.patients import (
     Patient,
     Specialty,
     UrgencyLevel,
+    _STREAM_PATIENTS,
     _pick_archetype_host,
     dataset_fingerprint,
     dataset_from_dict,
     dataset_to_dict,
+    seeded_stream,
 )
 
 FACE_COUNTS = {
@@ -253,6 +259,58 @@ def test_cohort_fingerprints_across_seeds():
     lines = "".join(f"{seed} {dataset_fingerprint(*generate_dataset(seed))}\n" for seed in range(20))
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest == "36bdbb134432fd3538cc073557a57c41dc5e3bae04a5be3bcb0b6fe55e2cf3ed"
+
+
+def _assert_one_call_draws_as_scalar_calls(rng, lows, highs):
+    """`rng.integers(lows, highs)` against one scalar call per element, on a twin stream:
+    the same values, the same generator state after, the same next draws."""
+    twin = copy.deepcopy(rng)
+    got = rng.integers(lows, highs).tolist()
+    want = [int(twin.integers(lo, hi)) for lo, hi in zip(lows, highs)]
+    assert got == want
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert int(rng.integers(0, 10)) == int(twin.integers(0, 10))
+    assert rng.random() == twin.random()
+
+
+def _cohort_bounds(patients):
+    """The low and high bounds of the cohort draw, per patient: age, acuity, complaint index."""
+    lows, highs = [], []
+    for p in patients:
+        options = COMPLAINTS[(p.face_urgency, p.required_specialty)]
+        lows += (p.age_band.ages[0], p.face_urgency.acuity_band[0], 0)
+        highs += (p.age_band.ages[1] + 1, p.face_urgency.acuity_band[1] + 1, len(options))
+    return lows, highs
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("offset", [0, 1])
+def test_the_cohort_draw_reads_the_stream_as_one_call_per_value(seed, offset):
+    # The bounds generate_dataset passes at this seed; `offset` first takes one
+    # 32-bit draw, so the generator starts with half a 64-bit word buffered.
+    lows, highs = _cohort_bounds(generate_dataset(seed)[0])
+    rng = seeded_stream(seed, _STREAM_PATIENTS)
+    rng.integers(0, 10, size=offset)
+    _assert_one_call_draws_as_scalar_calls(rng, lows, highs)
+
+
+_WIDTHS = st.one_of(
+    st.just(1),
+    st.integers(min_value=1, max_value=400),
+    st.sampled_from([2**32 - 1, 2**32, 2**32 + 1]),
+    st.integers(min_value=2**32, max_value=2**62),
+)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    bounds=st.lists(st.tuples(st.integers(-(2**62), 2**62 - 1), _WIDTHS), max_size=60),
+)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_per_element_bounds_draw_as_scalar_calls(seed, bounds):
+    lows = [lo for lo, _ in bounds]
+    highs = [lo + width for lo, width in bounds]
+    _assert_one_call_draws_as_scalar_calls(np.random.default_rng(seed), lows, highs)
 
 
 def _pool_patient(pid, gender, band, specialty):

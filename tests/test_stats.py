@@ -1,6 +1,7 @@
 """Statistics tests: hand-checked oracles plus cross-checks against scipy."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +192,52 @@ def test_wilson_edge_cases():
     full = wilson_ci(10, 10)
     assert full.high == pytest.approx(1.0) and full.high <= 1.0
     assert full.low < 1.0
+
+
+def test_wilson_criterion_10_bounds_keep_their_bits():
+    assert (wilson_ci(118, 120).low, wilson_ci(118, 120).high) == (0.941264037027841, 0.9954174354340789)
+    assert (wilson_ci(173, 368).low, wilson_ci(173, 368).high) == (0.41968692653352946, 0.5211480732274612)
+
+
+_N_MAX = int(sys.float_info.max)  # the largest count in the float range
+
+
+@st.composite
+def _counts(draw):
+    n = draw(st.one_of(st.integers(1, 1000), st.integers(1, 10**12), st.integers(1, _N_MAX)))
+    k = draw(st.one_of(st.sampled_from([0, n]), st.integers(0, n)))
+    return k, n
+
+
+@given(_counts())
+@example((10, 10))
+@example((0, 1))
+@example((3, 10**200))
+@example((3, _N_MAX))
+@example((_N_MAX, _N_MAX))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_wilson_interval_holds_its_estimate(counts):
+    k, n = counts
+    ci = wilson_ci(k, n)
+    assert 0.0 <= ci.low <= ci.p_hat <= ci.high <= 1.0
+    if k == n:
+        assert ci.high == 1.0
+    if k == 0:
+        assert ci.low == 0.0
+
+
+@pytest.mark.parametrize("successes, n", [
+    (True, 10), (3, True), (False, 10), (3.5, 10), (3.0, 10), (3, 10.0),
+    pytest.param(3, 10**400, id="3-10**400"), pytest.param(10**400, 10**400, id="10**400-10**400"),
+    (np.float64(3), 10), ("3", 10), (None, 10),
+])
+def test_wilson_refuses_counts_that_are_not_integers_in_float_range(successes, n):
+    with pytest.raises(ValidationError):
+        wilson_ci(successes, n)
+
+
+def test_wilson_takes_numpy_integer_counts():
+    assert wilson_ci(np.int64(118), np.int64(120)) == wilson_ci(118, 120)
 
 
 def test_wilson_width_shrinks_with_n():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from opdsim.engine import StrategyConfig
@@ -126,6 +126,45 @@ def test_priority_rejects_time_before_enqueue():
     e = _entry(t=10.0)
     with pytest.raises(ValidationError):
         priority_score(e, now=5.0, physician_load=0.0)
+
+
+def _priority_with_builtins(entry, now, load, w):
+    """`priority_score` written with `min`/`max`, the reference its comparisons must equal."""
+    wait_term = w.wait_cap * min((now - entry.enqueue_time) / w.wait_horizon, 1.0)
+    load_term = 1.0 - min(max(load, 0.0), 1.0)
+    terms = w.urgency * entry.current_urgency.u_score + w.acuity * (entry.current_acuity / 10.0)
+    return terms + w.waiting * wait_term + w.load * load_term
+
+
+_EDGE_LOADS = [math.nan, 0.0, -0.0, math.inf, -math.inf, -0.5, 1.0, 1.5, 5e-324, -5e-324, 2.2e-308]
+_SHORT_HORIZON = PriorityWeights(wait_horizon=30.0)
+
+
+@given(
+    level=st.sampled_from(list(UrgencyLevel)),
+    acuity=st.integers(min_value=1, max_value=10),
+    t=st.floats(min_value=0.0, max_value=360.0),
+    wait=st.one_of(
+        st.floats(min_value=0.0, max_value=1000.0),
+        st.sampled_from([0.0, 30.0, 120.0, 120.0 + 1e-12, 1e300, math.inf, math.nan]),
+    ),
+    load=st.one_of(st.sampled_from(_EDGE_LOADS), st.floats(), st.floats(-2.0, 2.0)),
+    weights=st.sampled_from([None, _SHORT_HORIZON]),
+)
+@example(level=UrgencyLevel.LOW, acuity=1, t=0.0, wait=math.nan, load=0.5, weights=None)
+@example(level=UrgencyLevel.LOW, acuity=1, t=0.0, wait=10.0, load=math.nan, weights=None)
+@example(level=UrgencyLevel.LOW, acuity=1, t=0.0, wait=10.0, load=-0.0, weights=None)
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_priority_equals_the_builtin_min_max_bit_for_bit(level, acuity, t, wait, load, weights):
+    # The clamps keep min/max's result on every float, NaN and -0.0 included.
+    e = _entry(urgency=level, acuity=acuity, t=t)
+    now = t + wait
+    got = priority_score(e, now=now, physician_load=load, weights=weights)
+    want = _priority_with_builtins(e, now, load, weights or PriorityWeights())
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got.hex() == want.hex()
 
 
 def test_priority_weights_validated():
