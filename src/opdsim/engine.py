@@ -241,6 +241,26 @@ def _positive_normal(z, mean: float, std: float, floor: float) -> float:
             return x
 
 
+def _median_p95(x: np.ndarray) -> tuple[float, float]:
+    """`np.median(x)` and `np.percentile(x, 95)` of a non-empty float array, to
+    the bit but for a zero's sign, from one sort; NumPy's pair imports `numpy.ma`
+    on first use.  The median is the middle element or `np.mean`'s `(a + b) / 2`.
+    p95 is the linear method: index `(n - 1) * 0.95`, then `_lerp`'s two
+    branches.  NaN sorts last and is then both answers, as in NumPy."""
+    s = np.sort(x).tolist()
+    n, last = len(s), s[-1]
+    if last != last:
+        return last, last
+    h = n // 2
+    median = s[h] if n % 2 else (s[h - 1] + s[h]) / 2
+    v = (n - 1) * 0.95
+    if v >= n - 1:
+        return median, last
+    i = int(v)
+    g, a, b = v - i, s[i], s[i + 1]
+    return median, b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def registration_stage(arrivals, rng: np.random.Generator, config: StrategyConfig):
     """The registration desks, run ahead of the event loop.  Nothing downstream
     feeds back into them, so they are the multi-server FIFO recursion of Kiefer
@@ -475,18 +495,20 @@ class _Session:
         # One row per visit, in consult-start order.  Each per-level figure
         # takes its visits by mask, so `_mean` sums them in that order.
         rows = [
-            (v.patient_id, v.physician_id, v.consult_start - v.registered_at,
+            (v.patient_id, v.physician_id, v.consult_start, v.consult_start - v.registered_at,
              v.consult_start - v.level_entered_at, v.face_urgency.rank,
              v.effective_urgency.rank, v.required_specialty == v.physician_specialty)
             for v in served
         ]
-        ids, physicians, reg_waits, level_waits, face, effective, matched = list(zip(*rows)) or [()] * 7
+        ids, physicians, starts, reg_waits, level_waits, face, effective, matched = list(zip(*rows)) or [()] * 8
         waiting = self.queue.entries()
         # Every patient ends served, pooled, unregistered, or registered
         # after closing.
         accounted = len(served) + len(waiting) + self.unregistered + self.late_registrations
         if accounted != n or len(set(ids)) != len(served):
             raise ValidationError(f"patient accounting is inconsistent: {accounted} of {n}")
+        if served and max(starts) >= cfg.session_minutes:
+            raise ValidationError("patient accounting is inconsistent: a consult started at closing")
         # At close every room is idle, each desk's queue length counts its waiting
         # entries (in the token arms' per-desk index too), and `longest` is current.
         queues = collections.Counter(e.assigned_physician for e in waiting)
@@ -512,6 +534,7 @@ class _Session:
         reg_waits, level_waits = np.array(reg_waits, float), np.array(level_waits, float)
         face, effective = np.array(face, np.intp), np.array(effective, np.intp)
         crit_waits = level_waits[effective == _CRITICAL_RANK]
+        median, p95 = _median_p95(reg_waits) if len(reg_waits) else (None, None)
 
         def _mean(x) -> float | None:  # np.mean's bits: add.reduce, then one division
             return float(x.sum() / len(x)) if len(x) else None
@@ -526,8 +549,8 @@ class _Session:
             unserved_count=n - len(served),
             throughput_per_hour=len(served) / (cfg.session_minutes / 60.0) if served else 0.0,
             avg_wait=_mean(reg_waits),
-            median_wait=float(np.median(reg_waits)) if len(reg_waits) else None,
-            p95_wait=float(np.percentile(reg_waits, 95)) if len(reg_waits) else None,
+            median_wait=median,
+            p95_wait=p95,
             wait_by_face={lvl._value_: _mean(reg_waits[face == lvl.rank]) for lvl in _LEVELS},
             wait_by_effective={lvl._value_: _mean(level_waits[effective == lvl.rank]) for lvl in _LEVELS},
             critical_wait_mean=_mean(crit_waits),

@@ -6,13 +6,18 @@ import hashlib
 import io
 import json
 import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opdsim
 from opdsim import cli
 from opdsim.assignment import default_roster
 from opdsim.cli import main
@@ -610,6 +615,32 @@ def test_experiment_pool_tasks_are_config_index_and_seed(tmp_path, serial_pool):
     assert [c.strategy.value for c in configs] == ["fcfs"]
     assert tasks == [(0, 500), (0, 501), (0, 502)]
     assert all(type(cell) is int and type(seed) is int for cell, seed in tasks)
+
+
+# Run in a fresh interpreter: the cohort, one config per arm and the
+# initializer, then one session of each arm.  Prints what those imported.
+_WORKER_IMPORTS = """
+import sys
+from opdsim import cli, generate_dataset
+from opdsim.assignment import default_roster
+from opdsim.engine import StrategyConfig
+arms = ("fcfs", "rule_based", "agentic")
+cli._init_worker(*generate_dataset(42), [StrategyConfig(strategy=a) for a in arms], default_roster())
+before = set(sys.modules)
+for cell in range(len(arms)):
+    cli._worker_run((cell, 1000))
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_worker_sessions_import_no_module():
+    # Every pool worker is forked from a parent that ran no session, so a
+    # module a session imports lazily is paid again in each worker (NumPy's
+    # median and percentile imported numpy.ma, ~14 ms).
+    env = {**os.environ, "PYTHONPATH": str(Path(opdsim.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _WORKER_IMPORTS], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_escalation_rows_follow_the_csv_header(dataset42, monkeypatch):

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdsim import engine
 from opdsim.engine import (
@@ -709,6 +711,56 @@ def test_session_metrics_match_reference(dataset42, strategy, case):
         ]
 
 
+def _median_p95_hex(x):
+    """(`engine._median_p95`, NumPy's median and 95th percentile), each as `.hex()`."""
+    got = tuple(v.hex() for v in engine._median_p95(np.array(x, float)))
+    return got, (float(np.median(x)).hex(), float(np.percentile(x, 95)).hex())
+
+
+def _wait_like_arrays(n_arrays, seed):
+    """Fixed edge cases, then seeded arrays of sizes 1-400: spread waits, and
+    those waits rounded, integer-valued, all equal, half zeros, subnormal, or
+    drawn from a few values."""
+    yield from ([0.0], [5e-324], [7.25], [1.0, 2.0], [0.0, 5e-324], [3.5, 3.5], [0.0] * 40)
+    rng = np.random.default_rng(seed)
+    for k in range(n_arrays):
+        x = rng.exponential(30.0, int(rng.integers(1, 401)))
+        kind = k % 7
+        if kind == 1:
+            x = np.round(x, 2)
+        elif kind == 2:
+            x = np.floor(x)
+        elif kind == 3:
+            x = np.full(len(x), x[0])
+        elif kind == 4:
+            x[rng.random(len(x)) < 0.5] = 0.0
+        elif kind == 5:
+            x = x * 1e-310
+        elif kind == 6:
+            x = rng.choice(x[:4], len(x))
+        yield x
+
+
+def test_median_p95_matches_numpy_bit_for_bit():
+    # `_finish` takes median_wait and p95_wait from one sort; NumPy's pair
+    # stays the oracle here, because its first call imports numpy.ma.
+    mismatched = [x for x in _wait_like_arrays(5000, seed=36) if len(set(_median_p95_hex(x))) != 1]
+    assert not mismatched
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300).map(lambda w: w + 0.0), min_size=1, max_size=400))
+def test_median_p95_matches_numpy_on_arbitrary_floats(x):
+    # `+ 0.0` turns -0.0 into 0.0: NumPy's partition and sort may pick
+    # different signs of a zero middle element.  A wait is a difference and never -0.0.
+    got, want = _median_p95_hex(x)
+    assert got == want
+
+
+def test_median_p95_of_nan_is_nan():
+    assert _median_p95_hex([3.0, math.nan, 1.0, 2.0]) == (("nan", "nan"), ("nan", "nan"))
+
+
 @pytest.mark.parametrize("case", sorted(RESULT_CASES) + sorted(GOLDEN_DESK_CONFIGS))
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_traced_and_untraced_runs_agree(dataset42, strategy, case):
@@ -929,3 +981,33 @@ def test_end_state_breach_fails_accounting(dataset42, monkeypatch, breach):
     with pytest.raises(ValidationError, match="accounting"):
         run_session(patients, history, StrategyConfig(strategy=strategy), seed=1)
     assert done
+
+
+# ------------------------------------------------------------ closing boundary
+
+# Seed 1000, each arm closed at the middle consult end in (100, 300) of its
+# 360-minute run, with the visits it serves: a room frees exactly at closing.
+CLOSING_AT_A_CONSULT_END = {"fcfs": (203.22277167962434, 138), "agentic": (191.9305402594464, 123)}
+
+
+@pytest.mark.parametrize("strategy", sorted(CLOSING_AT_A_CONSULT_END))
+def test_no_consult_starts_at_closing(dataset42, strategy):
+    patients, history = dataset42
+    close, n_served = CLOSING_AT_A_CONSULT_END[strategy]
+    full = run_session(patients, history, StrategyConfig(strategy=strategy), seed=1000)
+    ends = sorted(v.consult_end for v in full.served if 100 < v.consult_end < 300)
+    assert ends[len(ends) // 2] == close
+    res = run_session(patients, history, StrategyConfig(strategy=strategy, session_minutes=close), seed=1000)
+    assert res.metrics.served_count == n_served
+    assert max(v.consult_start for v in res.served) < close
+
+
+def test_consult_started_at_closing_fails_accounting(dataset42, monkeypatch):
+    # The pooled arm dispatches after any instant that asks for it; asking at
+    # the consult end that is closing starts a consult at closing.
+    patients, history = dataset42
+    close, _ = CLOSING_AT_A_CONSULT_END["agentic"]
+    done = _break_after_closing(monkeypatch, lambda s, p: setattr(s, "dispatch_due", True))
+    with pytest.raises(ValidationError, match="accounting.*closing"):
+        run_session(patients, history, StrategyConfig(strategy="agentic", session_minutes=close), seed=1000)
+    assert done == [close]
