@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_number
 from .patients import N_PATIENTS
 
 # Intensity shape anchors (minute, multiplier): ramp up into a mid-morning
@@ -34,6 +34,9 @@ class IntensityProfile:
     def __post_init__(self):
         if len(self.breakpoints) < 2:
             raise ValidationError("intensity profile needs at least two breakpoints")
+        for t, r in self.breakpoints:
+            require_number("intensity breakpoint time", t)
+            require_number("intensity rate", r)
         times = [t for t, _ in self.breakpoints]
         rates = [r for _, r in self.breakpoints]
         if any(b <= a for a, b in zip(times, times[1:])):

@@ -8,7 +8,8 @@ start; consults already underway finish, everyone else counts as unserved.
 
 Event ordering at equal timestamps is fixed (consult-end, reassessment,
 registration-done, dispatch) so runs are exactly reproducible for a given
-seed and configuration.  A trace is built after the loop, in the same order.
+seed and configuration.  Consult ends at one instant commute, so they pop in
+room order.  A trace is built after the loop, in the same order of kinds.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import collections
 import dataclasses
 import enum
 import heapq
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -55,10 +55,9 @@ REG_MIN = 0.5
 # floored here.
 CONSULT_MIN = 1.0
 
-# Same-timestamp precedence on the event heap: finish consults first so freed
-# desks are visible, then reassess.  `_Session.run` merges in the rest.
-_EVT_CONSULT_END = 0
-_EVT_REASSESS = 1
+# The event heap holds (time, room position) consult ends and (time, _TICK)
+# reassessment ticks, so at one instant consult ends pop first, in room order.
+_TICK = math.inf
 
 # RNG purpose streams within one run's seed.
 _STREAM_ARRIVALS = 0
@@ -302,7 +301,7 @@ class _Session:
         self.config = config
         self.seed = seed
         self.roster = roster
-        self.by_id = {p.physician_id: p for p in roster}
+        self.position = {p.physician_id: i for i, p in enumerate(roster)}
         self.backend = backend
 
         self.consult_z = _normals(_stream(seed, _STREAM_CONSULT))
@@ -315,11 +314,8 @@ class _Session:
         self.idle = len(roster)  # rooms without a consult
 
         self.heap: list = []  # consult ends and reassessment ticks
-        self._seq = itertools.count()
         self.dispatch_due = False
-        # Token arms: the roster positions of the rooms that can start a consult now.
-        self.position = {p.physician_id: i for i, p in enumerate(roster)}
-        self.ready: set[int] = set()
+        self.ready: set[int] = set()  # token arms: the rooms that can start a consult now
 
         self.served: list[ServedVisit] = []
         self.escalations: list[EscalationEvent] = []
@@ -327,11 +323,8 @@ class _Session:
 
     # -- plumbing ---------------------------------------------------------
 
-    def push(self, time: float, precedence: int, payload=None):
-        heapq.heappush(self.heap, (time, precedence, next(self._seq), payload))
-
     def load_of(self, physician_id: str) -> float:
-        return self.by_id[physician_id].queue_length / self.longest
+        return self.roster[self.position[physician_id]].queue_length / self.longest
 
     # -- handlers ---------------------------------------------------------
 
@@ -373,7 +366,7 @@ class _Session:
         nxt = t + self.config.drift.check_interval
         pending = self.heap or self.dispatch_due or desk_events_ahead
         if pending and nxt <= self.config.session_minutes:
-            self.push(nxt, _EVT_REASSESS)
+            heapq.heappush(self.heap, (nxt, _TICK))
 
     def on_dispatch(self, t: float):
         # Asked for only before closing, when a room can start a consult.
@@ -389,19 +382,20 @@ class _Session:
             for i in ready:
                 physician = roster[i]
                 physician.queue_length -= 1
-                self._start_consult(t, physician, queue.dequeue_next(physician.physician_id))
+                self._start_consult(t, i, queue.dequeue_next(physician.physician_id))
             return
-        for physician in roster:
+        for i, physician in enumerate(roster):
             if physician.status is not _IDLE or not len(queue):
                 continue
             entry = queue.dequeue_next()
-            desk = self.by_id[entry.assigned_physician]
+            desk = roster[self.position[entry.assigned_physician]]
             desk.queue_length -= 1
             if desk.queue_length + 1 == self.longest:  # a longest desk shrank
                 self.longest = max(1, max([p.queue_length for p in roster]))
-            self._start_consult(t, physician, entry)
+            self._start_consult(t, i, entry)
 
-    def _start_consult(self, t: float, physician: Physician, entry: QueueEntry):
+    def _start_consult(self, t: float, room: int, entry: QueueEntry):
+        physician = self.roster[room]
         physician.status = _BUSY
         self.idle -= 1
         level, patient = entry.current_urgency, entry.patient
@@ -412,16 +406,17 @@ class _Session:
             physician.physician_id, physician.specialty._value_,
             entry.enqueue_time, entry.level_entry_time, t, t + dur,
         ))
-        self.push(t + dur, _EVT_CONSULT_END, physician)
+        heapq.heappush(self.heap, (t + dur, room))
 
-    def on_consult_end(self, t: float, physician: Physician):
+    def on_consult_end(self, t: float, room: int):
+        physician = self.roster[room]
         physician.status = _IDLE
         self.idle += 1
         waiting = len(self.queue) if self.pooled else physician.queue_length
         if waiting and t < self.config.session_minutes:
             self.dispatch_due = True  # someone can take the freed room
             if not self.pooled:
-                self.ready.add(self.position[physician.physician_id])
+                self.ready.add(room)
 
     # -- main loop --------------------------------------------------------
 
@@ -439,7 +434,7 @@ class _Session:
         # produces no escalations at all.  Each tick schedules the next.
         first = self.config.drift.check_interval
         if self.config.drift_enabled and first <= self.config.session_minutes:
-            self.push(first, _EVT_REASSESS)
+            heapq.heappush(self.heap, (first, _TICK))
 
         # Merge two time-ordered sources; at equal t the heap's events come first,
         # then registrations done.  Dispatch runs once, after the last event at an
@@ -456,11 +451,11 @@ class _Session:
             elif t_heap <= t_reg:
                 if t_heap == math.inf:
                     break
-                t, kind, _seq, payload = heapq.heappop(heap)
-                if kind == _EVT_CONSULT_END:
-                    self.on_consult_end(t, payload)
-                else:
+                t, code = heapq.heappop(heap)
+                if code == _TICK:
                     self.on_reassess(t, t_reg < math.inf)
+                else:
+                    self.on_consult_end(t, code)
             else:
                 t, patient = pending.pop()
                 self.on_reg_done(t, patient)
@@ -564,7 +559,7 @@ class _Session:
             escalation_count=causes[CAUSE_DRIFT] + causes[CAUSE_MEMORY],
             final_composition=composition,
             specialty_match_rate=_mean(np.array(matched, bool)),
-            per_physician_served={pid: per_physician[pid] for pid in self.by_id},
+            per_physician_served={pid: per_physician[pid] for pid in self.position},
         )
         return SessionResult(
             metrics=metrics, escalations=self.escalations, served=served,
@@ -601,12 +596,11 @@ def run_experiment(
     config: StrategyConfig,
     n_runs: int,
     base_seed: int,
-    **kwargs,
 ) -> list[SessionResult]:
     """`n_runs` independent sessions seeded base_seed, base_seed+1, ..."""
     if n_runs < 1:
         raise ValidationError("n_runs must be at least 1")
-    return [run_session(patients, history, config, base_seed + i, **kwargs) for i in range(n_runs)]
+    return [run_session(patients, history, config, base_seed + i) for i in range(n_runs)]
 
 
 ABLATION_VARIANTS = {

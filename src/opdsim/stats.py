@@ -154,7 +154,7 @@ class WilsonInterval:
     high: float
 
 
-def wilson_ci(successes: int, n: int, z: float = Z_95) -> WilsonInterval:
+def wilson_ci(successes: int, n: int) -> WilsonInterval:
     """Wilson score interval for a binomial proportion; it always holds `p_hat`."""
     for name, count in (("successes", successes), ("n", n)):
         require_number(name, count)  # refuses bools and ints beyond the float range
@@ -165,10 +165,10 @@ def wilson_ci(successes: int, n: int, z: float = Z_95) -> WilsonInterval:
     if not 0 <= successes <= n:
         raise ValidationError("successes must lie in [0, n]")
     p = successes / n
-    z2 = z * z
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / n
     centre = (p + z2 / (2.0 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / n + z2 / (4.0 * n * n))
+    half = (Z_95 / denom) * math.sqrt(p * (1 - p) / n + z2 / (4.0 * n * n))
     # Rounding can put a bound past p at k = 0 or k = n; interior bounds keep their bits.
     low, high = max(0.0, centre - half), min(1.0, centre + half)
     return WilsonInterval(p_hat=p, low=min(low, p), high=max(high, p))

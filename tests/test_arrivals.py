@@ -46,6 +46,30 @@ def test_invalid_profiles_rejected():
             IntensityProfile(breakpoints=tuple((t, 1.0) for t in times))
 
 
+@pytest.mark.parametrize("breakpoints, match", [
+    (((0.0, 1.0), (math.nan, 1.0)), "time"),
+    (((math.nan, 1.0), (360.0, 1.0)), "time"),
+    (((0.0, 1.0), (math.inf, 1.0)), "time"),
+    (((-math.inf, 1.0), (360.0, 1.0)), "time"),
+    (((False, 1.0), (360.0, 1.0)), "time"),
+    (((0.0, math.nan), (360.0, 1.0)), "rate"),
+    (((0.0, 1.0), (360.0, math.inf)), "rate"),
+    (((0.0, True), (360.0, 1.0)), "rate"),
+    (((0.0, "1.0"), (360.0, 1.0)), "rate"),
+])
+def test_profile_refuses_breakpoints_that_are_not_finite_numbers(breakpoints, match):
+    # Once accepted, a NaN or inf made sample_poisson_process raise a bare
+    # ValueError or OverflowError, and a bool passed as 0 or 1.
+    with pytest.raises(ValidationError, match=f"{match} must be a finite number"):
+        IntensityProfile(breakpoints=breakpoints)
+
+
+def test_profile_takes_integer_and_numpy_breakpoints():
+    ints = IntensityProfile(breakpoints=((0, 1), (360, 2)))
+    floats = IntensityProfile(breakpoints=((np.float64(0.0), np.float64(1.0)), (360.0, 2.0)))
+    assert ints.integral() == floats.integral() == 540.0
+
+
 def test_sample_arrivals_contract():
     prof = default_profile()
     times = sample_arrivals(prof, seed_or_rng=123)

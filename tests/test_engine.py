@@ -114,6 +114,26 @@ GOLDEN_DESK_SESSIONS = {
         "d443b8dc397ba1b0d454fb9f2e05de2201702d9218d420f497af268a9203e98a",
     ),
 }
+# Seed 1000 with arrivals in bursts of four every 4 min, exact registrations
+# and each consult at its level's mean, so rooms often free at one instant.
+# arm -> (visits served, visits sharing their consult end, metrics, trace).
+GOLDEN_SAME_INSTANT_SESSIONS = {
+    "fcfs": (
+        260, 133,
+        "2ebe6c8b46e3906baedbbd4571fee86c6e5cd65fd8067a82678caa9c4ee01c39",
+        "1830f5113a78521543560294afbbe594bc1416f96eaa4e9510561339c68f0a79",
+    ),
+    "rule_based": (
+        236, 63,
+        "c76d67510819097c6fc06ac82f8ebc72e025dca26880da918b0819822beeda9d",
+        "0d677fc6d6bda959b47d02f8d6683cb5fa05e28d8a907fa41a01e8b971a0266e",
+    ),
+    "agentic": (
+        229, 143,
+        "3de450c9d4add2456f3e5cd36dfd6611e1d0cb7e47f928969c49a952affd9a94",
+        "8d6cbf6c5dc6caa5094fe236c391711926129ebe889f012291ced6f646f8288e",
+    ),
+}
 
 TRACE_FIELDS = ["time", "event", "patient_id", "physician_id", "detail"]
 TRACE_EVENTS = {"arrival", "reg_done", "enqueue", "escalation", "consult_start", "consult_end"}
@@ -131,6 +151,11 @@ def _trace_hash(trace):
 def _metrics_hash(metrics):
     blob = json.dumps(metrics.to_dict(), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _arrive_in_bursts_of_four(monkeypatch):
+    times = np.repeat(np.arange(N_PATIENTS // 4) * 4.0, 4)
+    monkeypatch.setattr(engine, "sample_arrivals", lambda *args: times)
 
 
 # ------------------------------------------------------------ conservation
@@ -348,6 +373,22 @@ def test_golden_registration_desk_session(dataset42, strategy, desks):
     assert (_metrics_hash(res.metrics), _trace_hash(res.trace)) == GOLDEN_DESK_SESSIONS[
         (strategy, desks)
     ]
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_SAME_INSTANT_SESSIONS))
+def test_golden_same_instant_consult_ends(dataset42, monkeypatch, strategy):
+    # Consult ends at one instant commute: the order they pop in moves no byte.
+    patients, history = dataset42
+    _arrive_in_bursts_of_four(monkeypatch)
+    for level in UrgencyLevel:
+        monkeypatch.setattr(level, "consult", (level.consult[0], 0.0))
+    cfg = StrategyConfig(strategy=strategy, registration_std=0.0)
+    res = run_session(patients, history, cfg, seed=1000, collect_trace=True)
+    ends = collections.Counter(v.consult_end for v in res.served)
+    shared = sum(n for n in ends.values() if n > 1)
+    assert (len(res.served), shared, _metrics_hash(res.metrics), _trace_hash(res.trace)) == (
+        GOLDEN_SAME_INSTANT_SESSIONS[strategy]
+    )
 
 
 @pytest.mark.parametrize("strategy", ["fcfs", "rule_based"])
@@ -861,9 +902,9 @@ def test_every_dispatch_starts_a_consult(dataset42, monkeypatch, strategy, case)
         calls.append(t)
         on_dispatch(self, t)
 
-    def counting_start(self, t, physician, entry):
+    def counting_start(self, t, room, entry):
         started.append(len(calls))
-        start(self, t, physician, entry)
+        start(self, t, room, entry)
 
     monkeypatch.setattr(engine._Session, "on_dispatch", counting_dispatch)
     monkeypatch.setattr(engine._Session, "_start_consult", counting_start)
@@ -880,17 +921,17 @@ def _roster_walk_dispatch(self, t):
     """`_Session.on_dispatch` as it was before the token arms recorded their
     ready rooms: every call walks the whole roster."""
     pooled, queue = self.pooled, self.queue
-    for physician in self.roster:
+    for room, physician in enumerate(self.roster):
         if physician.status is not PhysicianStatus.IDLE:
             continue
         if not (len(queue) if pooled else physician.queue_length):
             continue
         entry = queue.dequeue_next(None if pooled else physician.physician_id)
-        desk = self.by_id[entry.assigned_physician]
+        desk = self.roster[self.position[entry.assigned_physician]]
         desk.queue_length -= 1
         if pooled and desk.queue_length + 1 == self.longest:  # a longest desk shrank
             self.longest = max(1, max([p.queue_length for p in self.roster]))
-        self._start_consult(t, physician, entry)
+        self._start_consult(t, room, entry)
 
 
 # Each case as (config overrides, roster, whether arrivals come in bursts of
@@ -914,8 +955,7 @@ def test_token_dispatch_matches_the_roster_walk(dataset42, monkeypatch, strategy
     patients, history = dataset42
     overrides, roster, bursts = DISPATCH_CASES[case]
     if bursts:
-        times = np.repeat(np.arange(N_PATIENTS // 4) * 4.0, 4)
-        monkeypatch.setattr(engine, "sample_arrivals", lambda *args: times)
+        _arrive_in_bursts_of_four(monkeypatch)
     config = StrategyConfig(strategy=strategy, **overrides)
     for seed in range(1000, 1005):
         got = run_session(patients, history, config, seed, roster=roster, collect_trace=True)
@@ -939,10 +979,10 @@ def _break_after_closing(monkeypatch, breach):
     on_consult_end = engine._Session.on_consult_end
     done = []
 
-    def breaching(self, t, physician):
-        on_consult_end(self, t, physician)
+    def breaching(self, t, room):
+        on_consult_end(self, t, room)
         if t >= self.config.session_minutes and not done:
-            breach(self, physician)
+            breach(self, self.roster[room])
             done.append(t)
 
     monkeypatch.setattr(engine._Session, "on_consult_end", breaching)

@@ -108,8 +108,10 @@ def test_layer_spans_count_a_session(dataset42, monkeypatch):
 
 def test_pool_spans_count_a_token_session(dataset42, monkeypatch):
     # The token arms' pool keeps a per-desk index instead of the slot table;
-    # token_sessions' `waitqueue.*` metrics must still count its calls.
-    calls = _count_targets(monkeypatch, lambda name: name.startswith("waitqueue."))
+    # token_sessions' `waitqueue.*` metrics must still count its calls, and
+    # the consult handlers' spans theirs.
+    spans = ("engine.consult_start", "engine.on_consult_end")
+    calls = _count_targets(monkeypatch, lambda name: name.startswith("waitqueue.") or name in spans)
     patients, history = dataset42
     for strategy in ("fcfs", "rule_based"):
         calls.clear()
@@ -121,6 +123,8 @@ def test_pool_spans_count_a_token_session(dataset42, monkeypatch):
         assert calls["waitqueue.enqueue"] == events["enqueue"]
         assert calls["waitqueue.dequeue_next"] == events["consult_start"]
         assert calls["waitqueue.reassess_tick"] == 0
+        assert calls["engine.consult_start"] == events["consult_start"]
+        assert calls["engine.on_consult_end"] == len(res.served)
 
 
 def test_pool_length_counts_its_entries(dataset42, monkeypatch):
